@@ -18,7 +18,7 @@ rng = sp.SeedSpec(9).generator()
 draws = rng.random(100)
 pairs = [(u, v) for u in range(10) for v in range(10, 20)]
 edges = [p for p, x in zip(pairs, draws) if x < 0.5]
-g = sp.build_graph(20, edges)
+g = sp.Graph(20, edges)
 A, B = list(range(10)), list(range(10, 20))
 
 eps = Fraction(45, 100)
@@ -37,7 +37,7 @@ print(f"pairs with small common neighborhood in B:          {inter}")
 print(f"regularity guarantee: both at most k*eps*|A|^k = {bound}\n")
 
 # an irregular pair for contrast: a perfect matching
-gm = sp.build_graph(8, [(i, 4 + i) for i in range(4)])
+gm = sp.Graph(8, [(i, 4 + i) for i in range(4)])
 rep = sp.is_eps_regular_exact(gm, range(4), range(4, 8), Fraction(1, 4))
 print("perfect matching on 4+4 at eps = 1/4:")
 print(f"  regular? {rep.is_regular}; violating rectangle: {rep.violating_pair}")

@@ -29,7 +29,6 @@ from .checkers import (
 from .core import (
     Graph,
     VertexSet,
-    build_graph,
     density_param,
     induced_subgraph,
     is_dense,

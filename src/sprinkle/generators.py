@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Graph, build_graph, min_degree
+from .core import Graph, min_degree
 from .core import density_param
 from .seeds import SeedSpec
 
@@ -45,25 +45,25 @@ def complete_multipartite(part_sizes: list[int]) -> Graph:
         for v in range(u + 1, n)
         if block[u] != block[v]
     ]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def complete_graph(n: int) -> Graph:
-    return complete_multipartite([1] * n) if n else build_graph(0, [])
+    return complete_multipartite([1] * n) if n else Graph(0, [])
 
 
 def empty_graph(n: int) -> Graph:
-    return build_graph(n, [])
+    return Graph(n, [])
 
 
 def path_graph(n: int) -> Graph:
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def disjoint_cliques(n: int, clique_size: int) -> Graph:
@@ -85,7 +85,7 @@ def disjoint_cliques(n: int, clique_size: int) -> Graph:
             for v in range(u + 1, start + size):
                 edges.append((u, v))
         start += size
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def two_cliques(n: int) -> Graph:
@@ -95,7 +95,7 @@ def two_cliques(n: int) -> Graph:
     half = n // 2
     edges = [(u, v) for u in range(half) for v in range(u + 1, half)]
     edges += [(u, v) for u in range(half, n) for v in range(u + 1, n)]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def _pair_index_table(n: int) -> list[int]:
@@ -130,7 +130,7 @@ def gnm(n: int, m: int, seed: SeedSpec) -> Graph:
     chosen = rng.choice(total, size=m, replace=False)
     offsets = _pair_index_table(n)
     edges = [_unrank_pair(int(i), n, offsets) for i in chosen]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def blocked_gnp(n: int, d, seed: SeedSpec, max_attempts: int = 100) -> Graph:
@@ -158,7 +158,7 @@ def blocked_gnp(n: int, d, seed: SeedSpec, max_attempts: int = 100) -> Graph:
             pairs = [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
             keep = rng.random(len(pairs)) < p
             edges.extend(pair for pair, k in zip(pairs, keep) if k)
-        g = build_graph(n, edges)
+        g = Graph(n, edges)
         if min_degree(g) >= threshold:
             return g
     raise RuntimeError(
@@ -207,4 +207,4 @@ def mader_tightness_graph(n: int, k: int, seed: SeedSpec) -> Graph:
             picks = rng.choice(k + 1, size=per_clique, replace=False)
             for off in picks:
                 edges.append((w, lo + int(off)))
-    return build_graph(n, edges)
+    return Graph(n, edges)

@@ -105,8 +105,8 @@ def reference_formulas(name: str, n: int, params: dict) -> dict:
 def theorem_preset(name: str, n: int, params: dict | None = None) -> SweepConfig:
     """Fully populated SweepConfig for a named preset experiment.
 
-    Common optional params: trials (default 200), master_seed,
-    output_path, workers.  Per-preset params: thm2 needs r, r0 and
+    Common optional params: trials (default 200), master_seed and
+    output_path.  Per-preset params: thm2 needs r, r0 and
     optionally d; thm3/thm4/thm5 take d (thm4 also side in
     {"diam3", "diam5"}); thm6 needs d and k.
     """
@@ -114,7 +114,6 @@ def theorem_preset(name: str, n: int, params: dict | None = None) -> SweepConfig
     trials = int(params.pop("trials", 200))
     master_seed = as_seed(params.pop("master_seed", 0))
     output_path = params.pop("output_path", None)
-    workers = int(params.pop("workers", 1))
 
     if name == "thm2":
         r, r0 = int(_require(params, "r", "thm2")), int(_require(params, "r0", "thm2"))
@@ -184,7 +183,6 @@ def theorem_preset(name: str, n: int, params: dict | None = None) -> SweepConfig
         property=prop,
         master_seed=master_seed,
         output_path=output_path,
-        workers=workers,
     )
 
 

@@ -3,8 +3,7 @@ edges, check a property, repeat over an m-grid.
 
 Every trial's randomness is derived from the master seed and the
 (grid_index, trial_index) pair, so a sweep is a pure function of its
-config: reruns reproduce the CSV byte for byte, regardless of worker
-count or completion order.
+config: reruns reproduce the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -114,7 +112,6 @@ _CONFIG_KEYS = {
     "master_seed",
     "output_path",
     "trial_timeout_s",
-    "workers",
 }
 
 
@@ -132,7 +129,6 @@ class SweepConfig:
     master_seed: SeedSpec
     output_path: Optional[str] = None
     trial_timeout_s: Optional[float] = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.model not in ("uniform", "bernoulli"):
@@ -155,8 +151,6 @@ class SweepConfig:
             raise ValueError(f"unknown generator {self.generator.get('name')!r}")
         if self.property.get("name") not in PROPERTIES:
             raise ValueError(f"unknown property {self.property.get('name')!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
     def to_json_dict(self) -> dict:
         def enc(value):
@@ -178,7 +172,6 @@ class SweepConfig:
                             "stream_id": self.master_seed.stream_id},
             "output_path": self.output_path,
             "trial_timeout_s": self.trial_timeout_s,
-            "workers": self.workers,
         }
 
     @staticmethod
@@ -204,13 +197,11 @@ class SweepConfig:
             master_seed=seed,
             output_path=doc.get("output_path"),
             trial_timeout_s=doc.get("trial_timeout_s"),
-            workers=int(doc.get("workers", 1)),
         )
 
     def config_hash(self) -> str:
         doc = self.to_json_dict()
         doc.pop("output_path")  # where results land does not affect them
-        doc.pop("workers")
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -306,34 +297,17 @@ def _run_trial(config: SweepConfig, gen, prop, grid_index: int,
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Execute the sweep.  Trials are independent jobs; results are
-    aggregated in (grid_index, trial_index) order no matter how the
-    worker pool schedules them."""
+    """Execute the sweep: trials run one after another in
+    (grid_index, trial_index) order and are aggregated per grid point."""
     gen = GENERATORS[config.generator["name"]]
     prop, direction = PROPERTIES[config.property["name"]]
     started = time.perf_counter()
-
-    jobs = [
-        (gi, ti) for gi in range(len(config.grid)) for ti in range(config.trials)
-    ]
-    outcomes: dict[tuple[int, int], tuple[str, bool]] = {}
-    if config.workers == 1:
-        for gi, ti in jobs:
-            outcomes[(gi, ti)] = _run_trial(config, gen, prop, gi, ti)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                (gi, ti): pool.submit(_run_trial, config, gen, prop, gi, ti)
-                for gi, ti in jobs
-            }
-            for key, fut in futures.items():
-                outcomes[key] = fut.result()
 
     points = []
     for gi, value in enumerate(config.grid):
         successes = indeterminate = infeasible = 0
         for ti in range(config.trials):
-            status, ok = outcomes[(gi, ti)]
+            status, ok = _run_trial(config, gen, prop, gi, ti)
             if status == "indeterminate":
                 indeterminate += 1
                 continue

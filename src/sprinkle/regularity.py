@@ -15,13 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .core import Graph, VertexSet
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+from .core import Graph, VertexSet, as_fraction
 
 
 @dataclass(frozen=True)
@@ -36,8 +30,8 @@ class RegularityParams:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _as_fraction(self.eps))
-        object.__setattr__(self, "delta", _as_fraction(self.delta))
+        object.__setattr__(self, "eps", as_fraction(self.eps))
+        object.__setattr__(self, "delta", as_fraction(self.delta))
         if not (0 < self.eps < 1):
             raise ValueError(f"eps must lie in (0,1), got {self.eps}")
         if not (0 < self.delta < 1):
@@ -107,7 +101,7 @@ def is_eps_regular_exact(g: Graph, a, b, eps, cap: int = 16) -> RegularPairRepor
     (subsets ordered by size then lexicographically, X-major) and
     reports the first violation |d(X,Y) - d(A,B)| >= eps, if any.
     """
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0,1), got {eps}")
     sa, sb = _check_sides(g, a, b)

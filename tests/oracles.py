@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from sprinkle import Graph, build_graph
+from sprinkle import Graph
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -165,7 +165,7 @@ def graph_from_int(n: int, code: int) -> Graph:
             if (code >> bit) & 1:
                 edges.append((u, v))
             bit += 1
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -173,4 +173,4 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
-    return build_graph(n, edges)
+    return Graph(n, edges)

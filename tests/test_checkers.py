@@ -23,8 +23,8 @@ from oracles import (
     random_graph,
 )
 from sprinkle import (
+    Graph,
     SeedSpec,
-    build_graph,
     chromatic_number,
     clique_number,
     complete_graph,
@@ -51,7 +51,7 @@ def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return build_graph(10, outer + spokes + inner)
+    return Graph(10, outer + spokes + inner)
 
 
 def _assert_clique(g, vertices):
@@ -126,7 +126,7 @@ def test_diameter_examples():
     assert diameter(complete_graph(7)) == 1
     assert diameter(two_cliques(10)) == math.inf
     assert diameter(cycle_graph(6)) == 3
-    assert diameter(build_graph(1, [])) == 0
+    assert diameter(Graph(1, [])) == 0
 
 
 def test_diameter_matches_apsp_oracle():
@@ -240,7 +240,7 @@ def test_vertex_connectivity_examples():
     assert vertex_connectivity(two_cliques(8)) == 0
     assert vertex_connectivity(petersen()) == 3 == brute_vertex_connectivity(petersen())
     with pytest.raises(ValueError):
-        vertex_connectivity(build_graph(1, []))
+        vertex_connectivity(Graph(1, []))
 
 
 def test_k0_and_disconnected_conventions():
@@ -291,8 +291,8 @@ def test_clique_lower_bound_for_coloring():
 def test_density_examples():
     for r in range(3, 9):
         assert max_subgraph_density(complete_graph(r)).value == Fraction(r - 1, 2)
-    assert max_subgraph_density(build_graph(2, [(0, 1)])).value == Fraction(1, 2)
-    k4_pendant = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    assert max_subgraph_density(Graph(2, [(0, 1)])).value == Fraction(1, 2)
+    k4_pendant = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
     dm = max_subgraph_density(k4_pendant)
     assert dm.value == Fraction(3, 2)
     assert dm.witness_set == (0, 1, 2, 3)

@@ -1,11 +1,12 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprinkle import (
-    build_graph,
+    Graph,
     complete_graph,
     density_param,
     induced_subgraph,
@@ -19,37 +20,50 @@ from sprinkle import (
 
 
 def test_build_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.edge_count == 3
     assert g.neighbors(0) == (1, 2)
 
 
 def test_build_empty():
-    g = build_graph(4, [])
+    g = Graph(4, [])
     assert g.edge_count == 0 and g.n == 4
 
 
 def test_build_duplicate_collapses():
-    g = build_graph(3, [(0, 1), (1, 0)])
+    g = Graph(3, [(0, 1), (1, 0)])
     assert g.edge_count == 1
 
 
 def test_build_rejects_self_loop():
     with pytest.raises(ValueError, match=r"\(1, 1\)"):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
 
 
 def test_build_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"\(0, 3\)"):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
+
+
+def test_numpy_integer_endpoints():
+    # 1 << np.int64(70) overflows to 0, so endpoints must become Python ints
+    ints = [(0, 70), (1, 2)]
+    g = Graph(100, ints)
+    assert Graph(100, np.array(ints)) == g
+    assert Graph(100, []).with_edges(np.array(ints)) == g
+    assert g.has_edge(0, 70) and g.has_edge(70, 0) and g.neighbors(0) == (70,)
+    with pytest.raises(TypeError):
+        Graph(3, [(0.0, 1.0)])
+    with pytest.raises(TypeError):
+        g.with_edges([(0, 1.0)])
 
 
 def test_min_degree_examples():
     assert min_degree(complete_graph(5)) == 4
-    assert min_degree(build_graph(4, [])) == 0
+    assert min_degree(Graph(4, [])) == 0
     assert min_degree(two_cliques(6)) == 2
     with pytest.raises(ValueError):
-        min_degree(build_graph(0, []))
+        min_degree(Graph(0, []))
 
 
 def test_is_dense_examples():
@@ -66,7 +80,7 @@ def test_is_dense_exact_rational_boundary():
     # a 27-regular graph on 90 vertices: circulant, offsets +-1..13 and 45
     offsets = list(range(1, 14)) + [45]
     edges = {(min(u, (u + o) % 90), max(u, (u + o) % 90)) for u in range(90) for o in offsets}
-    g = build_graph(90, sorted(edges))
+    g = Graph(90, sorted(edges))
     assert min_degree(g) == 27
     assert is_dense(g, 0.3)
     assert not is_dense(g, Fraction(27, 90) + Fraction(1, 1000))
@@ -80,10 +94,10 @@ def test_density_param_range():
 
 def test_induced_subgraph_examples():
     assert induced_subgraph(complete_graph(5), [0, 1, 2]) == complete_graph(3)
-    g = build_graph(6, [(0, 1), (2, 3)])
+    g = Graph(6, [(0, 1), (2, 3)])
     single = induced_subgraph(g, [4])
     assert single.n == 1 and single.edge_count == 0
-    c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     sub = induced_subgraph(c5, [0, 1, 3])
     assert sub.n == 3 and sub.edges() == [(0, 1)]
 
@@ -97,12 +111,12 @@ def test_induced_subgraph_rejects_bad_ids():
 
 def test_non_edges_examples():
     assert non_edges(complete_graph(4)) == []
-    assert non_edges(build_graph(3, [])) == [(0, 1), (0, 2), (1, 2)]
-    assert non_edges(build_graph(3, [(0, 1), (1, 2)])) == [(0, 2)]
+    assert non_edges(Graph(3, [])) == [(0, 1), (0, 2), (1, 2)]
+    assert non_edges(Graph(3, [(0, 1), (1, 2)])) == [(0, 2)]
 
 
 def test_identity_relabeling_is_same_graph():
-    g = build_graph(5, [(0, 3), (1, 4), (2, 3)])
+    g = Graph(5, [(0, 3), (1, 4), (2, 3)])
     assert induced_subgraph(g, range(5)) == g
 
 
@@ -111,7 +125,7 @@ def graphs(draw, max_n=9):
     n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,8 +154,32 @@ def test_adjacency_symmetric_no_loops(g):
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
 
 
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=20), st.data())
+def test_with_edges_matches_rebuild(g, data):
+    pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+    extra = data.draw(st.lists(st.sampled_from(pairs))) if pairs else []
+    before = g.edges()
+    h = g.with_edges(extra)
+    rebuilt = Graph(g.n, before + extra)
+    assert h == rebuilt and h.edge_count == rebuilt.edge_count == len(h.edges())
+    assert g.edges() == before
+    for v in range(h.n):
+        nb = h.neighbors(v)
+        assert all(a < b for a, b in zip(nb, nb[1:]))
+        assert sum(1 << u for u in nb) == h.adjacency_mask(v)
+    lex = [(u, v) for u in range(h.n) for v in range(u + 1, h.n)]
+    assert h.edges() == [e for e in lex if h.has_edge(*e)]
+    assert non_edges(h) == [e for e in lex if not h.has_edge(*e)]
+    with pytest.raises(ValueError, match="self-loop"):
+        g.with_edges([(0, 0)])
+    for bad in ((0, g.n), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            g.with_edges([bad])
+
+
 def test_edge_list_roundtrip(tmp_path):
-    g = build_graph(6, [(0, 5), (2, 3), (1, 4), (0, 1)])
+    g = Graph(6, [(0, 5), (2, 3), (1, 4), (0, 1)])
     path = tmp_path / "g.txt"
     write_edge_list(g, path)
     text = path.read_text()

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from sprinkle import (
+    Graph,
     SeedSpec,
     blocked_gnp,
-    build_graph,
     clique_number,
     complete_graph,
     complete_multipartite,
@@ -143,7 +143,7 @@ def test_gnm_connectivity_matches_independent_reference():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         hits = 0
         for _ in range(trials):
-            hits += brute_is_connected(build_graph(n, rng.sample(pairs, m)))
+            hits += brute_is_connected(Graph(n, rng.sample(pairs, m)))
         return hits / trials
 
     # n-1 edges: a uniform 29-edge graph on 30 vertices is essentially

@@ -2,9 +2,9 @@ import pytest
 
 from oracles import brute_vertex_connectivity
 from sprinkle import (
+    Graph,
     SeedSpec,
     blocked_gnp,
-    build_graph,
     complete_graph,
     dense_partition,
     density_param,
@@ -32,7 +32,7 @@ def test_mader_on_complete_graph():
 
 
 def test_mader_on_two_cliques():
-    g = build_graph(
+    g = Graph(
         18,
         [(u, v) for u in range(9) for v in range(u + 1, 9)]
         + [(u, v) for u in range(9, 18) for v in range(u + 1, 18)],

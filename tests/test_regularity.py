@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from sprinkle import (
+    Graph,
     RegularityParams,
     SeedSpec,
-    build_graph,
     complete_multipartite,
     count_intersection_violations,
     count_union_violations,
@@ -20,7 +20,7 @@ B8 = list(range(4, 8))
 
 
 def bipartite(n_a, n_b, cross):
-    return build_graph(n_a + n_b, [(u, n_a + v) for u, v in cross])
+    return Graph(n_a + n_b, [(u, n_a + v) for u, v in cross])
 
 
 def seeded_bipartite(n_a, n_b, p, seed):
@@ -39,7 +39,7 @@ def seeded_bipartite(n_a, n_b, p, seed):
 def test_pair_density_examples():
     kb = complete_multipartite([4, 4])
     assert pair_density(kb, A8, B8) == 1
-    empty = build_graph(8, [])
+    empty = Graph(8, [])
     assert pair_density(empty, A8, B8) == 0
     g = bipartite(2, 2, [(0, 0), (0, 1), (1, 0)])
     assert pair_density(g, [0, 1], [2, 3]) == Fraction(3, 4)
@@ -53,7 +53,7 @@ def test_pair_density_symmetry():
 
 
 def test_pair_density_errors():
-    g = build_graph(4, [])
+    g = Graph(4, [])
     with pytest.raises(ValueError, match="overlap"):
         pair_density(g, [0, 1], [1, 2])
     with pytest.raises(ValueError, match="nonempty"):
@@ -69,7 +69,7 @@ def test_complete_bipartite_pair_is_regular():
 
 
 def test_empty_pair_is_regular():
-    g = build_graph(8, [])
+    g = Graph(8, [])
     rep = is_eps_regular_exact(g, A8, B8, Fraction(1, 5))
     assert rep.is_regular and rep.density == 0
 
@@ -105,7 +105,7 @@ def test_regular_verdict_monotone_in_eps():
 
 
 def test_regularity_cap_enforced():
-    g = build_graph(40, [])
+    g = Graph(40, [])
     with pytest.raises(ValueError, match="cap"):
         is_eps_regular_exact(g, range(20), range(20, 40), Fraction(1, 4))
 
