@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Edge, Graph, non_edges
 from .seeds import SeedSpec
 
@@ -28,7 +30,9 @@ def augment_uniform(h: Graph, m: int, seed: SeedSpec) -> AugmentResult:
 
     The subset is drawn by a seeded partial Fisher-Yates shuffle over
     the lexicographic non-edge list, so identical seeds reproduce the
-    same edges in the same order.
+    same edges in the same order.  All m swap positions come from one
+    rng.integers call with lower bounds 0..m-1, which draws the same
+    stream as one scalar rng.integers(i, N) per step.
     """
     pool = non_edges(h)
     if m < 0:
@@ -38,11 +42,9 @@ def augment_uniform(h: Graph, m: int, seed: SeedSpec) -> AugmentResult:
             f"m={m} exceeds the {len(pool)} available non-edges (maximum m={len(pool)})"
         )
     rng = seed.generator()
-    arr = list(pool)
-    for i in range(m):
-        j = int(rng.integers(i, len(arr)))
-        arr[i], arr[j] = arr[j], arr[i]
-    added = tuple(arr[:m])
+    for i, j in enumerate(rng.integers(np.arange(m), len(pool)).tolist()):
+        pool[i], pool[j] = pool[j], pool[i]
+    added = tuple(pool[:m])
     return AugmentResult(h.with_edges(added), added, h.edge_count, seed)
 
 

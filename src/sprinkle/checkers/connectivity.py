@@ -9,30 +9,22 @@ degree at least (n + k - 2) / 2 forces k-connectivity outright.
 
 from __future__ import annotations
 
-from collections import deque
-
-from ..core import Graph
+from ..core import Graph, _bits
 from ._maxflow import MaxFlow
 from ._verdict import PropertyVerdict
+from .distance import _eccentricity
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
+    """Vertex sets of the components, each sorted, in order of their
+    least vertex.  Each component is the ball of a mask-frontier BFS."""
+    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    full = unseen = (1 << g.n) - 1
     comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    q.append(v)
-        comps.append(sorted(comp))
+    while unseen:
+        _, comp = _eccentricity(masks, full, (unseen & -unseen).bit_length() - 1)
+        unseen &= ~comp
+        comps.append(_bits(comp))
     return comps
 
 

@@ -227,6 +227,7 @@ def cmd_preset(args) -> int:
         params["master_seed"] = args.seed
     if args.csv:
         params["output_path"] = args.csv
+    samples = int(params.pop("samples", 100)) if args.bound_check else None
     config = theorem_preset(args.name, args.n, params)
     if args.bound_check:
         if "d" not in params or "k" not in params:
@@ -236,7 +237,7 @@ def cmd_preset(args) -> int:
             args.n,
             params["d"],
             int(params["k"]),
-            samples=int(params.get("samples", 100)),
+            samples=samples,
             seed=args.seed or 0,
         )
         _emit({"holds": verdict.holds, "reason": verdict.reason})

@@ -6,6 +6,9 @@ Adjacency is kept once, as one integer bitmask per vertex (bit u of
 vertex v's mask is set iff u ~ v): membership is a shift, set algebra
 for the clique and diameter checkers is one operation, and sorted
 neighbor tuples are read off the bits in increasing id order.
+The lexicographic non-edge list is computed on the first non_edges()
+call and kept on the graph, so a base graph shared by many trials
+builds its pool once.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def _or_edges(masks: list[int], edges: Iterable[Sequence[int]]) -> list[int]:
 class Graph:
     """Undirected simple graph on vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "_masks", "_edge_count")
+    __slots__ = ("n", "_masks", "_edge_count", "_non_edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
@@ -69,6 +72,7 @@ class Graph:
         self.n = len(masks)
         self._masks = tuple(masks)
         self._edge_count = sum(m.bit_count() for m in masks) // 2
+        self._non_edges = None  # filled by the first non_edges(self)
 
     @property
     def edge_count(self) -> int:
@@ -86,7 +90,7 @@ class Graph:
         return self._masks[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self._masks[u] >> v) & 1)
+        return bool((self._masks[u] >> index(v)) & 1)
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -168,10 +172,16 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
 
 
 def non_edges(g: Graph) -> list[Edge]:
-    """All unordered pairs not in E, in lexicographic order."""
-    full = (1 << g.n) - 1
-    return [(u, v) for u in range(g.n)
-            for v in _bits((full & ~g.adjacency_mask(u)) >> (u + 1) << (u + 1))]
+    """All unordered pairs not in E, in lexicographic order, as a fresh
+    list the caller may reorder; the pairs are kept on g after the first
+    call."""
+    pairs = g._non_edges
+    if pairs is None:
+        full = (1 << g.n) - 1
+        pairs = g._non_edges = tuple([
+            (u, v) for u in range(g.n)
+            for v in _bits((full & ~g.adjacency_mask(u)) >> (u + 1) << (u + 1))])
+    return list(pairs)
 
 
 # ---------------------------------------------------------------------------

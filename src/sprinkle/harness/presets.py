@@ -32,7 +32,17 @@ PRESET_SLACKS = {
     "thm6": {"omega_const": 8, "calibration_seed": 20260801},
 }
 
-PRESET_NAMES = ("thm2", "thm3", "thm4", "thm5", "thm6")
+# params every preset accepts, and each preset's own
+_COMMON_PARAMS = frozenset({"trials", "master_seed", "output_path"})
+_PRESET_PARAMS = {
+    "thm2": frozenset({"r", "r0", "d"}),
+    "thm3": frozenset({"d"}),
+    "thm4": frozenset({"d", "side"}),
+    "thm5": frozenset({"d"}),
+    "thm6": frozenset({"d", "k"}),
+}
+
+PRESET_NAMES = tuple(_PRESET_PARAMS)
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -108,9 +118,14 @@ def theorem_preset(name: str, n: int, params: dict | None = None) -> SweepConfig
     Common optional params: trials (default 200), master_seed and
     output_path.  Per-preset params: thm2 needs r, r0 and
     optionally d; thm3/thm4/thm5 take d (thm4 also side in
-    {"diam3", "diam5"}); thm6 needs d and k.
+    {"diam3", "diam5"}); thm6 needs d and k.  Any other key is rejected.
     """
     params = dict(params or {})
+    if name not in _PRESET_PARAMS:
+        raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    unknown = set(params) - _COMMON_PARAMS - _PRESET_PARAMS[name]
+    if unknown:
+        raise ValueError(f"preset {name} does not take the params {sorted(unknown)}")
     trials = int(params.pop("trials", 200))
     master_seed = as_seed(params.pop("master_seed", 0))
     output_path = params.pop("output_path", None)
@@ -158,7 +173,7 @@ def theorem_preset(name: str, n: int, params: dict | None = None) -> SweepConfig
         grid = geometric_grid(refs["lower"], refs["upper"], max_m)
         generator = {"name": "two_cliques", "params": {"n": n}}
         prop = {"name": "diameter_le", "params": {"t": 2}}
-    elif name == "thm6":
+    else:  # thm6
         d = density_param(_require(params, "d", "thm6"))
         k = int(_require(params, "k", "thm6"))
         if k < 1:
@@ -172,8 +187,6 @@ def theorem_preset(name: str, n: int, params: dict | None = None) -> SweepConfig
         grid = geometric_grid(refs["lower"], refs["upper"], max_m)
         generator = {"name": "disjoint_cliques", "params": {"n": n, "clique_size": s}}
         prop = {"name": "k_connected", "params": {"k": k}}
-    else:
-        raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
 
     return SweepConfig(
         generator=generator,

@@ -3,7 +3,10 @@ edges, check a property, repeat over an m-grid.
 
 Every trial's randomness is derived from the master seed and the
 (grid_index, trial_index) pair, so a sweep is a pure function of its
-config: reruns reproduce the CSV byte for byte.
+config: reruns reproduce the CSV byte for byte.  A base-graph family
+that ignores its seed (SEED_FREE_GENERATORS) is built once per sweep
+and shared by every trial, together with its memoised non-edge pool;
+any other family is rebuilt from each trial's seed.
 """
 
 from __future__ import annotations
@@ -81,6 +84,20 @@ GENERATORS: dict[str, Callable] = {
     "path": lambda p, s: path_graph(int(p["n"])),
     "cycle": lambda p, s: cycle_graph(int(p["n"])),
 }
+
+# GENERATORS entries whose graph does not depend on the seed.  Listing
+# these, not the seeded ones, means a family added later is rebuilt on
+# every trial unless it is put here.
+SEED_FREE_GENERATORS = frozenset({
+    "complete_multipartite",
+    "two_cliques",
+    "disjoint_cliques",
+    "complete",
+    "empty",
+    "path",
+    "cycle",
+})
+
 
 def _diameter_ge(g: Graph, p: dict) -> bool:
     t = int(p["t"])
@@ -274,12 +291,16 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 def _run_trial(config: SweepConfig, gen, prop, grid_index: int,
-               trial_index: int) -> tuple[str, bool]:
-    """Returns (status, success); status in ok / infeasible / indeterminate."""
+               trial_index: int, base: Optional[Graph] = None) -> tuple[str, bool]:
+    """Returns (status, success); status in ok / infeasible / indeterminate.
+
+    base is the sweep's shared base graph, or None to build one with gen
+    from this trial's seed."""
     value = config.grid[grid_index]
     trial_seed = config.master_seed.derive(grid_index, trial_index)
     start = time.perf_counter()
-    base = gen(config.generator.get("params", {}), trial_seed.stream(0))
+    if base is None:
+        base = gen(config.generator.get("params", {}), trial_seed.stream(0))
     if config.model == "uniform":
         try:
             aug = augment_uniform(base, int(value), trial_seed.stream(1))
@@ -298,16 +319,24 @@ def _run_trial(config: SweepConfig, gen, prop, grid_index: int,
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute the sweep: trials run one after another in
-    (grid_index, trial_index) order and are aggregated per grid point."""
-    gen = GENERATORS[config.generator["name"]]
+    (grid_index, trial_index) order and are aggregated per grid point.
+
+    A seed-free base graph is built once, before the first trial, so for
+    those families trial_timeout_s times only augmentation and the
+    property check."""
+    name = config.generator["name"]
+    gen = GENERATORS[name]
     prop, direction = PROPERTIES[config.property["name"]]
     started = time.perf_counter()
+    base = None
+    if name in SEED_FREE_GENERATORS:
+        base = gen(config.generator.get("params", {}), None)
 
     points = []
     for gi, value in enumerate(config.grid):
         successes = indeterminate = infeasible = 0
         for ti in range(config.trials):
-            status, ok = _run_trial(config, gen, prop, gi, ti)
+            status, ok = _run_trial(config, gen, prop, gi, ti, base)
             if status == "indeterminate":
                 indeterminate += 1
                 continue

@@ -3,7 +3,10 @@
 These deliberately share no code with the package implementations:
 cliques by subset scan, chromatic number by independent-set cover DP,
 vertex connectivity by separator enumeration, diameter by
-Floyd-Warshall, and density by full subset enumeration.
+Floyd-Warshall, density by full subset enumeration, and components by
+a plain neighbor-list BFS.  The uniform m-subset draw is kept here in
+its original form, one scalar rng.integers call per Fisher-Yates step,
+as the reference stream for the vectorised draw in sprinkle.augment.
 """
 
 from __future__ import annotations
@@ -70,6 +73,27 @@ def brute_chromatic_number(g: Graph) -> int:
                     dp[m] = cand
             sub = (sub - 1) & m
     return dp[full]
+
+
+def bfs_components(g: Graph) -> list[list[int]]:
+    """Components as sorted vertex lists, in order of least vertex."""
+    seen = set()
+    comps = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in g.neighbors(u):
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
 
 
 def brute_is_connected(g: Graph) -> bool:
@@ -174,3 +198,14 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def scalar_fisher_yates(pool: list, m: int, seed) -> tuple:
+    """First m items of a partial Fisher-Yates shuffle of pool, drawing
+    each swap position with its own rng.integers(i, len(pool)) call."""
+    rng = seed.generator()
+    arr = list(pool)
+    for i in range(m):
+        j = int(rng.integers(i, len(arr)))
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(arr[:m])

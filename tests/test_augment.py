@@ -1,9 +1,11 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import scalar_fisher_yates
 from sprinkle import (
     Graph,
     SeedSpec,
@@ -67,6 +69,28 @@ def test_uniform_determinism_and_seed_sensitivity():
     c = augment_uniform(g, 9, SeedSpec(5))
     assert a.added == b.added
     assert a.added != c.added
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32), st.data())
+def test_uniform_draw_matches_scalar_fisher_yates(n, seed, data):
+    # the one-call draw must give the old per-step stream: same edges,
+    # in the same order, at m=0, at m=len(pool) and in between
+    g = gnm(n, n * (n - 1) // 4, SeedSpec(seed))
+    pool = non_edges(g)
+    for m in (0, len(pool), data.draw(st.integers(0, len(pool)))):
+        res = augment_uniform(g, m, SeedSpec(seed, 3))
+        assert res.added == scalar_fisher_yates(pool, m, SeedSpec(seed, 3))
+
+
+@pytest.mark.parametrize("bound", [2**32 + 5, 2**40])
+def test_vectorised_draw_stream_for_bounds_past_32_bits(bound):
+    # numpy switches to its 64-bit path above 2**32; the array-bounds
+    # call must still match one scalar call per position there
+    m = 50
+    a = SeedSpec(8).generator().integers(np.arange(m), bound).tolist()
+    rng = SeedSpec(8).generator()
+    assert a == [int(rng.integers(i, bound)) for i in range(m)]
 
 
 def test_uniform_choice_is_uniform_chi_squared():

@@ -12,8 +12,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    bfs_components,
     brute_chromatic_number,
     brute_clique_number,
     brute_contains_kr,
@@ -29,6 +31,7 @@ from sprinkle import (
     clique_number,
     complete_graph,
     complete_multipartite,
+    connected_components,
     contains_kr,
     count_kr,
     cycle_graph,
@@ -248,6 +251,14 @@ def test_k0_and_disconnected_conventions():
     assert is_k_connected(g, 0).holds
     v = is_k_connected(g, 1)
     assert not v.holds and v.witness == frozenset()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 70), st.floats(0, 0.12), st.integers(0, 2**32))
+def test_connected_components_match_neighbor_bfs(n, p, seed):
+    # sparse graphs up to n=70 so masks cross 64 bits and components vary
+    g = random_graph(random.Random(seed), n, p)
+    assert connected_components(g) == bfs_components(g)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,16 @@ def test_preset_bound_check(capsys):
     assert json.loads(out)["holds"] is True
 
 
+def test_preset_rejects_unknown_params(capsys):
+    code, out, err = run_cli(capsys, "preset", "--name", "thm6", "--n", "36",
+                             "d=0.25", "k=3", "trails=5", "--run")
+    assert code == 2 and out == "" and "['trails']" in err
+    # samples belongs to --bound-check only
+    code, _, err = run_cli(capsys, "preset", "--name", "thm6", "--n", "36",
+                           "d=0.25", "k=3", "samples=5")
+    assert code == 2 and "['samples']" in err
+
+
 def test_exit_code_nonzero_on_bad_input(tmp_path, capsys):
     missing = tmp_path / "none.txt"
     code, _, err = run_cli(capsys, "check", "--property", "diam", str(missing))

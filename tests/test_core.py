@@ -52,6 +52,8 @@ def test_numpy_integer_endpoints():
     assert Graph(100, np.array(ints)) == g
     assert Graph(100, []).with_edges(np.array(ints)) == g
     assert g.has_edge(0, 70) and g.has_edge(70, 0) and g.neighbors(0) == (70,)
+    assert g.has_edge(0, np.int64(70)) and g.has_edge(np.int64(70), np.int64(0))
+    assert not g.has_edge(np.int64(0), np.int64(71))
     with pytest.raises(TypeError):
         Graph(3, [(0.0, 1.0)])
     with pytest.raises(TypeError):
@@ -113,6 +115,16 @@ def test_non_edges_examples():
     assert non_edges(complete_graph(4)) == []
     assert non_edges(Graph(3, [])) == [(0, 1), (0, 2), (1, 2)]
     assert non_edges(Graph(3, [(0, 1), (1, 2)])) == [(0, 2)]
+
+
+def test_non_edges_returns_a_fresh_list():
+    g = Graph(4, [(0, 1), (2, 3)])
+    first = non_edges(g)
+    expected = list(first)
+    first.reverse()
+    first.append((9, 9))
+    assert non_edges(g) == expected == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert non_edges(g) is not non_edges(g)
 
 
 def test_identity_relabeling_is_same_graph():

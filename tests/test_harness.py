@@ -13,6 +13,7 @@ from sprinkle.harness import (
     run_sweep,
     wilson_interval,
 )
+from sprinkle.harness import sweep as sweep_mod
 from sprinkle.harness.sweep import GridPointResult, SweepResult
 
 
@@ -98,6 +99,58 @@ def test_sweep_csv_golden():
     for overrides, digest in cases:
         csv = run_sweep(make_config(**overrides)).to_csv()
         assert hashlib.sha256(csv.encode()).hexdigest() == digest, csv
+
+
+# small params for every GENERATORS entry
+REGISTRY_PARAMS = {
+    "complete_multipartite": {"parts": [2, 3]},
+    "two_cliques": {"n": 6},
+    "disjoint_cliques": {"n": 9, "clique_size": 3},
+    "blocked_gnp": {"n": 16, "d": "1/4"},
+    "gnm": {"n": 10, "M": 12},
+    "mader_tightness": {"n": 14, "k": 3},
+    "complete": {"n": 4},
+    "empty": {"n": 4},
+    "path": {"n": 5},
+    "cycle": {"n": 5},
+}
+
+
+def test_seed_free_generators_are_exactly_those_ignoring_the_seed():
+    # a family listed as seed-free must not vary with the seed, and every
+    # other family must, or the per-sweep base would change the results
+    assert set(REGISTRY_PARAMS) == set(sweep_mod.GENERATORS)
+    assert sweep_mod.SEED_FREE_GENERATORS <= set(sweep_mod.GENERATORS)
+    for name, gen in sweep_mod.GENERATORS.items():
+        graphs = {gen(REGISTRY_PARAMS[name], SeedSpec(s)) for s in range(8)}
+        if name in sweep_mod.SEED_FREE_GENERATORS:
+            assert len(graphs) == 1, name
+        else:
+            assert len(graphs) > 1, name
+
+
+@pytest.mark.parametrize("name,model,grid,calls", [
+    ("two_cliques", "uniform", (0, 2, 6), 1),
+    ("gnm", "uniform", (0, 2, 6), 15),
+    ("blocked_gnp", "bernoulli", (0.0, 0.5), 10),
+])
+def test_base_built_once_per_sweep_only_when_seed_free(monkeypatch, name, model,
+                                                       grid, calls):
+    seen = []
+    gen = sweep_mod.GENERATORS[name]
+
+    def counted(params, seed):
+        seen.append(seed)
+        return gen(params, seed)
+
+    monkeypatch.setitem(sweep_mod.GENERATORS, name, counted)
+    cfg = make_config(generator={"name": name, "params": REGISTRY_PARAMS[name]},
+                      model=model, grid=grid, trials=5)
+    res = run_sweep(cfg)
+    monkeypatch.undo()
+    assert len(seen) == calls
+    assert sweep_mod.GENERATORS[name] is gen
+    assert res.to_csv() == run_sweep(cfg).to_csv()
 
 
 def test_sweep_infeasible_m_counts_as_flagged_failure():

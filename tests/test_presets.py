@@ -66,6 +66,18 @@ def test_missing_required_params_rejected_cleanly():
         reference_formulas("thm4", 50, {})
 
 
+def test_unknown_params_rejected():
+    with pytest.raises(ValueError, match=r"thm5 does not take the params \['trails', 'workers'\]"):
+        theorem_preset("thm5", 40, {"trails": 5, "workers": 4})
+    with pytest.raises(ValueError, match=r"\['k'\]"):
+        theorem_preset("thm3", 100, {"d": "0.15", "k": 2})
+    with pytest.raises(ValueError, match=r"\['side'\]"):
+        theorem_preset("thm6", 36, {"d": "0.25", "k": 3, "side": "diam3"})
+    cfg = theorem_preset("thm4", 100, {"d": "0.2", "side": "diam5", "trials": 3,
+                                       "master_seed": 1, "output_path": None})
+    assert cfg.trials == 3
+
+
 def test_thm2_config_shape_and_hypothesis_guard():
     cfg = theorem_preset("thm2", 40, {"r": 5, "r0": 2})
     assert cfg.generator["name"] == "complete_multipartite"
