@@ -5,7 +5,7 @@ The hardest dense base graph is a disjoint union of cliques just above
 the degree requirement.  Each clique must be touched by at least k added
 edges before the whole graph can be k-connected, so fewer than
 (k/2) * (number of cliques) random edges can never suffice; that bound
-is certified combinatorially and confirmed by the max-flow checker.
+is certified combinatorially and confirmed by the flow checker.
 """
 
 import sprinkle as sp

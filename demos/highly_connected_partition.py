@@ -4,7 +4,8 @@
 The partition routine extracts well-connected seed subgraphs, grows them
 by absorbing outside vertices with enough inside neighbors, and recurses
 on the leftovers.  Each part V_i ends with at least ceil(k/8) vertices
-and an induced subgraph certified ceil(k^2/(16n))-connected by max-flow.
+and an induced subgraph certified ceil(k^2/(16n))-connected by the
+flow checker.
 
 The clique-plus-independent-set family shows the bounds are tight in
 shape: any subgraph crossing two cliques through the independent set I

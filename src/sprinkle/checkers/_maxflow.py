@@ -1,9 +1,9 @@
-"""Small integer-capacity max-flow (Dinic) used by the connectivity and
-densest-subgraph checkers.
+"""Small integer-capacity max-flow (Dinic) used by the densest-subgraph
+checker.
 
 Capacities are Python ints, so callers can scale rational guesses to
-integers and stay exact.  Supports an early-exit flow limit and
-extraction of the source side of a minimum cut.
+integers and stay exact.  Supports extraction of the source side of a
+minimum cut.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ class MaxFlow:
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        self._cap0: list[int] = []
 
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         """Directed arc u->v; returns the arc id (residual is id^1)."""
@@ -28,16 +27,7 @@ class MaxFlow:
         self.adj[v].append(arc + 1)
         self.to.append(u)
         self.cap.append(0)
-        self._cap0.extend((capacity, 0))
         return arc
-
-    def set_capacity(self, arc: int, capacity: int) -> None:
-        self.cap[arc] = capacity
-        self._cap0[arc] = capacity
-
-    def reset(self) -> None:
-        """Restore all capacities to their initial values."""
-        self.cap = self._cap0.copy()
 
     def _bfs_levels(self, s: int, t: int) -> list[int] | None:
         level = [-1] * self.n
@@ -53,12 +43,11 @@ class MaxFlow:
                     q.append(v)
         return level if level[t] >= 0 else None
 
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
-        """Total flow pushed from s to t, stopping early once the flow
-        reaches limit (if given)."""
+    def max_flow(self, s: int, t: int) -> int:
+        """Total flow pushed from s to t."""
         flow = 0
         cap, to, adj = self.cap, self.to, self.adj
-        while limit is None or flow < limit:
+        while True:
             level = self._bfs_levels(s, t)
             if level is None:
                 break
@@ -69,14 +58,10 @@ class MaxFlow:
                 u = stack[-1]
                 if u == t:
                     aug = min(cap[arc] for arc in path)
-                    if limit is not None:
-                        aug = min(aug, limit - flow)
                     for arc in path:
                         cap[arc] -= aug
                         cap[arc ^ 1] += aug
                     flow += aug
-                    if limit is not None and flow >= limit:
-                        break
                     # retreat to the first saturated arc on the path
                     cut = next(i for i, arc in enumerate(path) if cap[arc] == 0)
                     del stack[cut + 1 :]

@@ -41,35 +41,31 @@ def estimate_threshold(result: SweepResult) -> ThresholdEstimate:
 
     For a monotone increasing property the bracket is (largest grid m
     with fitted value below 1/2, smallest with fitted value at least
-    1/2); decreasing properties are handled symmetrically.  Raises if
-    the fitted curve never attains both sides of 1/2, which means the
-    grid needs widening.
+    1/2); decreasing properties are handled symmetrically.  Grid points
+    with no decided trial are left out.  Raises if the fitted curve
+    never attains both sides of 1/2, which means the grid needs
+    widening.
     """
-    grid = [pt.value for pt in result.points]
-    p_hats = [pt.p_hat for pt in result.points]
-    weights = [max(pt.trials, 1) for pt in result.points]
+    # a point whose every trial was indeterminate has no estimate; its
+    # stored p_hat of 0 must not enter the fit
+    points = [pt for pt in result.points if pt.trials > 0]
+    grid = [pt.value for pt in points]
+    p_hats = [pt.p_hat for pt in points]
+    weights = [pt.trials for pt in points]
     if result.direction >= 0:
         fitted = pava(p_hats, weights)
     else:
         fitted = [1 - v for v in pava([1 - v for v in p_hats], weights)]
 
+    below = [i for i, v in enumerate(fitted) if v < 0.5]
+    at_or_above = [i for i, v in enumerate(fitted) if v >= 0.5]
+    if not below or not at_or_above:
+        span = (f"fitted range [{min(fitted):.3f}, {max(fitted):.3f}]" if fitted
+                else "no grid point has a decided trial")
+        raise ValueError(f"fitted curve never crosses 1/2; widen the sweep grid ({span})")
     if result.direction >= 0:
-        below = [i for i, v in enumerate(fitted) if v < 0.5]
-        at_or_above = [i for i, v in enumerate(fitted) if v >= 0.5]
-        if not below or not at_or_above:
-            raise ValueError(
-                "fitted curve never crosses 1/2; widen the sweep grid "
-                f"(fitted range [{min(fitted):.3f}, {max(fitted):.3f}])"
-            )
         i, j = max(below), min(at_or_above)
     else:
-        at_or_above = [i for i, v in enumerate(fitted) if v >= 0.5]
-        below = [i for i, v in enumerate(fitted) if v < 0.5]
-        if not below or not at_or_above:
-            raise ValueError(
-                "fitted curve never crosses 1/2; widen the sweep grid "
-                f"(fitted range [{min(fitted):.3f}, {max(fitted):.3f}])"
-            )
         i, j = max(at_or_above), min(below)
     gi, gj = grid[i], grid[j]
     vi, vj = fitted[i], fitted[j]

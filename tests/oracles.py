@@ -7,6 +7,9 @@ Floyd-Warshall, density by full subset enumeration, and components by
 a plain neighbor-list BFS.  The uniform m-subset draw is kept here in
 its original form, one scalar rng.integers call per Fisher-Yates step,
 as the reference stream for the vectorised draw in sprinkle.augment.
+Likewise the k-connectivity checker's former engine, Dinic max-flow on
+an explicitly built vertex-split network, is kept as the reference for
+its verdicts and witnesses.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from sprinkle import Graph
+from sprinkle.checkers._maxflow import MaxFlow
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -145,6 +149,70 @@ def brute_is_k_connected(g: Graph, k: int) -> bool:
     if g.n <= k:
         return False
     return brute_vertex_connectivity(g) >= k
+
+
+def _split_network(g: Graph, super_members=()) -> MaxFlow:
+    # node ids: in(v) = 2v, out(v) = 2v + 1, optional super-source 2n;
+    # edge arcs get capacity 2, so every minimum cut is made of split
+    # and super-source arcs, i.e. of vertices
+    net = MaxFlow(2 * g.n + (1 if super_members else 0))
+    for v in range(g.n):
+        net.add_edge(2 * v, 2 * v + 1, 1)
+    for u, v in g.edges():
+        net.add_edge(2 * u + 1, 2 * v, 2)
+        net.add_edge(2 * v + 1, 2 * u, 2)
+    for v in super_members:
+        net.add_edge(2 * g.n, 2 * v, 1)
+    return net
+
+
+def split_flow_reach(g: Graph, t: int, s=None, members=()) -> tuple:
+    """(flow, in-sides reached, out-sides reached) of a full max-flow
+    into in(t), from out(s) or from a super-source over members, with
+    the residual reach sets read off the built split network."""
+    net = _split_network(g, super_members=() if s is not None else members)
+    source = 2 * s + 1 if s is not None else 2 * g.n
+    flow = net.max_flow(source, 2 * t)
+    reach = net.source_side(source)
+    return (flow, {v for v in range(g.n) if 2 * v in reach},
+            {v for v in range(g.n) if 2 * v + 1 in reach})
+
+
+def split_flow_is_k_connected(g: Graph, k: int) -> tuple:
+    """(holds, witness, reason) of sprinkle's is_k_connected, computed
+    with its shortcuts and pair schedule but a full Dinic max-flow per
+    pair on a freshly built vertex-split network.  The separator is the
+    cut split arcs (in-side reached, out-side not) plus the members whose
+    super-source arc is cut."""
+    if k == 0:
+        return (True, None, "") if g.n >= 1 else (False, None, "empty graph")
+    if g.n <= k:
+        return False, None, f"n={g.n} <= k={k}"
+    if not brute_is_connected(g):
+        return False, frozenset(), "disconnected"
+    if k == 1:
+        return True, None, ""
+    degrees = [g.degree(v) for v in range(g.n)]
+    v_min = min(range(g.n), key=lambda v: (degrees[v], v))
+    if degrees[v_min] < k:
+        return False, frozenset(g.neighbors(v_min)), "low-degree vertex"
+    if 2 * degrees[v_min] >= g.n + k - 2:
+        return True, None, "degree bound"
+    for i in range(k):
+        for j in range(i + 1, k):
+            if g.has_edge(i, j):
+                continue
+            flow, ins, outs = split_flow_reach(g, j, s=i)
+            if flow < k:
+                return False, frozenset(ins - outs), ""
+    members = tuple(range(k))
+    for u in range(k, g.n):
+        if all(g.has_edge(u, v) for v in members):
+            continue
+        flow, ins, outs = split_flow_reach(g, u, members=members)
+        if flow < k:
+            return False, frozenset(ins - outs | set(members) - ins), ""
+    return True, None, ""
 
 
 def brute_diameter(g: Graph):

@@ -23,6 +23,8 @@ from oracles import (
     brute_max_density,
     brute_vertex_connectivity,
     random_graph,
+    split_flow_is_k_connected,
+    split_flow_reach,
 )
 from sprinkle import (
     Graph,
@@ -48,6 +50,8 @@ from sprinkle import (
     two_cliques,
     vertex_connectivity,
 )
+from sprinkle.checkers.connectivity import _disjoint_paths
+from sprinkle.core import _bits
 
 
 def petersen():
@@ -251,6 +255,69 @@ def test_k0_and_disconnected_conventions():
     assert is_k_connected(g, 0).holds
     v = is_k_connected(g, 1)
     assert not v.holds and v.witness == frozenset()
+
+
+@st.composite
+def gnp_graphs(draw, max_n=40):
+    n = draw(st.integers(1, max_n))
+    p = draw(st.floats(0.05, 0.95))
+    return random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+
+
+@st.composite
+def cliques_plus_edges(draw, max_n=40):
+    # the thm6 shape: disjoint cliques joined by a few random edges
+    n = draw(st.integers(2, max_n))
+    h = disjoint_cliques(n, draw(st.integers(1, max(1, n // 2))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    extra = [tuple(rng.sample(range(n), 2)) for _ in range(draw(st.integers(0, 2 * n)))]
+    return h.with_edges(extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gnp_graphs(), cliques_plus_edges()))
+def test_is_k_connected_matches_split_flow_oracle(g):
+    # same verdict, reason and separator as Dinic on the built split network
+    for k in range(7):
+        v = is_k_connected(g, k)
+        assert (v.holds, v.witness, v.reason) == split_flow_is_k_connected(g, k), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gnp_graphs(), cliques_plus_edges()).filter(lambda g: g.n >= 2), st.data())
+def test_disjoint_paths_match_split_flow_min_cut(g, data):
+    # uncapped (k = n), so the flow is always maximum and the reach
+    # masks must be the source side of the minimal minimum cut
+    t = data.draw(st.integers(0, g.n - 1))
+    sources = [v for v in range(g.n) if v != t and not g.has_edge(v, t)]
+    s, members = None, ()
+    if sources and data.draw(st.booleans()):
+        s = data.draw(st.sampled_from(sources))
+    else:
+        others = [v for v in range(g.n) if v != t]
+        members = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    flow, in_reach, out_reach = _disjoint_paths(masks, t, g.n, s=s, members=members)
+    assert (flow, set(_bits(in_reach)), set(_bits(out_reach))) == split_flow_reach(
+        g, t, s=s, members=members)
+
+
+def test_disjoint_paths_back_through_a_used_vertex():
+    # a later path from 1 to 3 reroutes an earlier one back through a
+    # used vertex's own split arc, which takes that vertex out of the flow
+    g = Graph(18, [(0, 1), (0, 4), (0, 13), (0, 17), (1, 6), (1, 8), (1, 9), (1, 11),
+                   (2, 3), (2, 6), (2, 12), (2, 17), (3, 5), (3, 16), (4, 5), (5, 7),
+                   (5, 13), (5, 14), (6, 7), (6, 9), (6, 15), (7, 9), (8, 9), (9, 13),
+                   (10, 11), (10, 13), (12, 13), (14, 15), (15, 17), (16, 17)])
+    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    flow, in_reach, out_reach = _disjoint_paths(masks, 3, g.n, s=1)
+    assert (flow, set(_bits(in_reach)), set(_bits(out_reach))) == split_flow_reach(g, 3, s=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gnp_graphs(max_n=9).filter(lambda g: g.n >= 2))
+def test_vertex_connectivity_matches_brute(g):
+    assert vertex_connectivity(g) == brute_vertex_connectivity(g)
 
 
 @settings(max_examples=80, deadline=None)

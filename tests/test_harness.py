@@ -285,6 +285,28 @@ def test_estimate_threshold_step_example():
     assert est.bracket == (2, 3)
 
 
+def test_estimate_threshold_skips_undecided_points():
+    # the last point had only indeterminate trials: run_sweep stores it
+    # as 0 of 0 with p_hat 0, which must not pull the fit down
+    res = fake_result([0, 1, 2, 3], [0.0, 0.2, 0.8, 0.0], trials=10)
+    undecided = GridPointResult(value=3, trials=0, successes=0, indeterminate=10,
+                                infeasible=0, p_hat=0.0, ci_lo=0.0, ci_hi=1.0)
+    res = SweepResult(config=res.config, points=res.points[:3] + (undecided,),
+                      direction=+1, wall_clock_s=0.0)
+    est = estimate_threshold(res)
+    assert est.m_half == 1.5
+    assert est.bracket == (1, 2)
+    # with the decided points all below 1/2 there is no crossing left
+    low = SweepResult(config=res.config, points=res.points[:2] + (undecided,),
+                      direction=+1, wall_clock_s=0.0)
+    with pytest.raises(ValueError, match="widen"):
+        estimate_threshold(low)
+    none = SweepResult(config=res.config, points=(undecided,), direction=+1,
+                       wall_clock_s=0.0)
+    with pytest.raises(ValueError, match="widen"):
+        estimate_threshold(none)
+
+
 def test_estimate_threshold_all_high_errors():
     res = fake_result([1, 2, 3], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="widen"):
