@@ -54,11 +54,8 @@ def augment_bernoulli(h: Graph, p: float, seed: SeedSpec) -> AugmentResult:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     pool = non_edges(h)
     rng = seed.generator()
-    if pool:
-        keep = rng.random(len(pool)) < p
-        added = tuple(pair for pair, take in zip(pool, keep) if take)
-    else:
-        added = ()
+    keep = np.flatnonzero(rng.random(len(pool)) < p).tolist()
+    added = tuple(pool[i] for i in keep)
     return AugmentResult(h.with_edges(added), added, h.edge_count, seed)
 
 

@@ -284,13 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="clique:R | cliquecount:R | diam | kconn:K | kappa | chi | omega | density",
     )
     p.add_argument("infile")
-    p.add_argument("--seed", type=int, default=0, help="unused; accepted for uniformity")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("partition", help="partition into highly connected parts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("infile")
-    p.add_argument("--seed", type=int, default=0, help="unused; accepted for uniformity")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("regcheck", help="epsilon-regularity report for a bipartite pair")
@@ -301,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--Y", help="subset of B for the intersection count (default B)")
     p.add_argument("infile")
-    p.add_argument("--seed", type=int, default=0, help="unused; accepted for uniformity")
     p.set_defaults(func=cmd_regcheck)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config")

@@ -18,7 +18,7 @@ from .sweep import (
     run_sweep,
     wilson_interval,
 )
-from .threshold import ThresholdEstimate, estimate_threshold, pava
+from .threshold import ThresholdEstimate, estimate_threshold
 
 __all__ = [
     "SweepConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "PROPERTIES",
     "ThresholdEstimate",
     "estimate_threshold",
-    "pava",
     "theorem_preset",
     "reference_formulas",
     "deterministic_lower_bound_check",

@@ -1,12 +1,12 @@
 """Declarative Monte Carlo sweeps: generate a base graph, add random
-edges, check a property, repeat over an m-grid.
+edges, check a monotone property over an m-grid, repeat.
 
-Every trial's randomness is derived from the master seed and the
-(grid_index, trial_index) pair, so a sweep is a pure function of its
-config: reruns reproduce the CSV byte for byte.  A base-graph family
-that ignores its seed (SEED_FREE_GENERATORS) is built once per sweep
-and shared by every trial, together with its memoised non-edge pool;
-any other family is rebuilt from each trial's seed.
+Trial t's randomness is derived from the master seed and t alone, so
+one trial's graphs at the grid points are nested and a sweep is a pure
+function of its config: reruns reproduce the CSV byte for byte.  A
+base-graph family that ignores its seed (SEED_FREE_GENERATORS) is built
+once per sweep and shared by every trial, together with its memoised
+non-edge pool; any other family is rebuilt from each trial's seed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from bisect import bisect_right
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
@@ -241,7 +242,6 @@ class SweepResult:
     points: tuple[GridPointResult, ...]
     direction: int  # +1 if the property is monotone increasing in m
     wall_clock_s: float
-    monotonicity_warnings: tuple[int, ...] = field(default=())
 
     def to_csv(self) -> str:
         lines = ["m,trials,successes,p_hat,ci_lo,ci_hi"]
@@ -258,7 +258,6 @@ class SweepResult:
             "config_hash": self.config.config_hash(),
             "direction": self.direction,
             "points": [asdict(pt) for pt in self.points],
-            "monotonicity_warnings": list(self.monotonicity_warnings),
             # informational only; everything else is reproducible
             "wall_clock_s": self.wall_clock_s,
         }
@@ -290,89 +289,86 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 # execution
 # ---------------------------------------------------------------------------
 
-def _run_trial(config: SweepConfig, gen, prop, grid_index: int,
-               trial_index: int, base: Optional[Graph] = None) -> tuple[str, bool]:
-    """Returns (status, success); status in ok / infeasible / indeterminate.
-
-    base is the sweep's shared base graph, or None to build one with gen
-    from this trial's seed."""
-    value = config.grid[grid_index]
-    trial_seed = config.master_seed.derive(grid_index, trial_index)
-    start = time.perf_counter()
-    if base is None:
-        base = gen(config.generator.get("params", {}), trial_seed.stream(0))
-    if config.model == "uniform":
-        try:
-            aug = augment_uniform(base, int(value), trial_seed.stream(1))
-        except ValueError:
-            return "infeasible", False
-    else:
-        aug = augment_bernoulli(base, float(value), trial_seed.stream(1))
-    ok = prop(aug.graph, config.property.get("params", {}))
-    if (
-        config.trial_timeout_s is not None
-        and time.perf_counter() - start > config.trial_timeout_s
-    ):
-        return "indeterminate", False
-    return "ok", bool(ok)
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Execute the sweep: trials run one after another in
-    (grid_index, trial_index) order and are aggregated per grid point.
+    """Execute the sweep, one trial after another.
 
-    A seed-free base graph is built once, before the first trial, so for
-    those families trial_timeout_s times only augmentation and the
-    property check."""
+    Trial t draws its base graph (unless the family is seed-free) and its
+    edge randomness from master_seed.derive(t), the same for every grid
+    point.  Nested augmentation makes the trial's graphs grow along the
+    grid: the uniform model's m added edges are the first m of one
+    random order, and the Bernoulli model's edges at p are a subset of
+    those at any larger p.  The property is monotone, so a bisection
+    over the feasible grid points finds the first point at which it has
+    flipped to its far side, and that index decides every point.  A
+    uniform m above the base's non-edge count is an infeasible failure;
+    those points form a suffix of the grid.
+
+    trial_timeout_s times one trial: its base draw (a seed-free base is
+    built once, before the first trial) and its bisection.  A trial over
+    budget is indeterminate at every grid point."""
     name = config.generator["name"]
     gen = GENERATORS[name]
     prop, direction = PROPERTIES[config.property["name"]]
+    gen_params = config.generator.get("params", {})
+    prop_params = config.property.get("params", {})
+    grid = config.grid
+    augment = augment_uniform if config.model == "uniform" else augment_bernoulli
+    far = direction > 0  # the property's value once it has flipped
     started = time.perf_counter()
-    base = None
-    if name in SEED_FREE_GENERATORS:
-        base = gen(config.generator.get("params", {}), None)
+    shared = gen(gen_params, None) if name in SEED_FREE_GENERATORS else None
+
+    successes = [0] * len(grid)
+    infeasible = [0] * len(grid)
+    indeterminate = 0
+    for ti in range(config.trials):
+        seed = config.master_seed.derive(ti)
+        start = time.perf_counter()
+        base = shared if shared is not None else gen(gen_params, seed.stream(0))
+        feasible = len(grid)
+        if config.model == "uniform":
+            feasible = bisect_right(grid, base.n * (base.n - 1) // 2 - base.edge_count)
+        lo, hit = 0, feasible
+        while lo < hit:
+            mid = (lo + hit) // 2
+            aug = augment(base, grid[mid], seed.stream(1))
+            if bool(prop(aug.graph, prop_params)) == far:
+                hit = mid
+            else:
+                lo = mid + 1
+        if (
+            config.trial_timeout_s is not None
+            and time.perf_counter() - start > config.trial_timeout_s
+        ):
+            indeterminate += 1
+            continue
+        for i in range(len(grid)):
+            if i >= feasible:
+                infeasible[i] += 1
+            elif (i >= hit) == far:
+                successes[i] += 1
 
     points = []
-    for gi, value in enumerate(config.grid):
-        successes = indeterminate = infeasible = 0
-        for ti in range(config.trials):
-            status, ok = _run_trial(config, gen, prop, gi, ti, base)
-            if status == "indeterminate":
-                indeterminate += 1
-                continue
-            if status == "infeasible":
-                infeasible += 1
-            successes += ok
-        counted = config.trials - indeterminate
-        p_hat = successes / counted if counted else 0.0
-        lo, hi = wilson_interval(successes, counted)
+    counted = config.trials - indeterminate
+    for value, ok, bad in zip(grid, successes, infeasible):
+        lo, hi = wilson_interval(ok, counted)
         points.append(
             GridPointResult(
                 value=value,
                 trials=counted,
-                successes=successes,
+                successes=ok,
                 indeterminate=indeterminate,
-                infeasible=infeasible,
-                p_hat=p_hat,
+                infeasible=bad,
+                p_hat=ok / counted if counted else 0.0,
                 ci_lo=lo,
                 ci_hi=hi,
             )
         )
-
-    warnings = []
-    for i in range(len(points) - 1):
-        a, b = points[i], points[i + 1]
-        slack = (a.ci_hi - a.ci_lo) + (b.ci_hi - b.ci_lo)
-        drop = (a.p_hat - b.p_hat) * direction
-        if drop > slack:
-            warnings.append(i)
 
     result = SweepResult(
         config=config,
         points=tuple(points),
         direction=direction,
         wall_clock_s=time.perf_counter() - started,
-        monotonicity_warnings=tuple(warnings),
     )
     if config.output_path:
         result.write(config.output_path)

@@ -46,7 +46,7 @@ class SeedSpec:
 
     def derive(self, *indices: int) -> "SeedSpec":
         """Child seed for a structured sub-experiment, e.g.
-        master.derive(grid_index, trial_index).  Deterministic."""
+        master.derive(trial_index).  Deterministic."""
         s = _splitmix64(self.seed ^ _splitmix64(self.stream_id))
         for ix in indices:
             if ix < 0:

@@ -10,6 +10,13 @@ as the reference stream for the vectorised draw in sprinkle.augment.
 Likewise the k-connectivity checker's former engine, Dinic max-flow on
 an explicitly built vertex-split network, is kept as the reference for
 its verdicts and witnesses.
+
+For the sweep harness there are two references.  full_grid_sweep checks
+every (grid, trial) cell on its own, through the package's own
+generators, augmentation and property registry, so it pins the sweep's
+bisection and bookkeeping, not its sampling.  exact_probability shares
+nothing with the package: it enumerates every edge subset a tiny base
+can receive and judges each graph with the brute-force checkers here.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from sprinkle import Graph
+from sprinkle import Graph, augment_bernoulli, augment_uniform
 from sprinkle.checkers._maxflow import MaxFlow
+from sprinkle.harness.sweep import GENERATORS, PROPERTIES
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -277,3 +285,45 @@ def scalar_fisher_yates(pool: list, m: int, seed) -> tuple:
         j = int(rng.integers(i, len(arr)))
         arr[i], arr[j] = arr[j], arr[i]
     return tuple(arr[:m])
+
+
+def full_grid_sweep(config) -> list[tuple[int, int]]:
+    """(successes, infeasible) at each grid point of a sweep config,
+    checking every (grid, trial) cell: trial t's base graph and edges
+    come from master_seed.derive(t), and a uniform m above the base's
+    non-edge count is an infeasible failure.  No cell's verdict is
+    inferred from another's."""
+    gen = GENERATORS[config.generator["name"]]
+    prop, _ = PROPERTIES[config.property["name"]]
+    counts = [[0, 0] for _ in config.grid]
+    for ti in range(config.trials):
+        seed = config.master_seed.derive(ti)
+        base = gen(config.generator.get("params", {}), seed.stream(0))
+        for count, value in zip(counts, config.grid):
+            try:
+                if config.model == "uniform":
+                    aug = augment_uniform(base, value, seed.stream(1))
+                else:
+                    aug = augment_bernoulli(base, value, seed.stream(1))
+            except ValueError:
+                count[1] += 1
+                continue
+            count[0] += bool(prop(aug.graph, config.property.get("params", {})))
+    return [tuple(c) for c in counts]
+
+
+def exact_probability(h: Graph, holds, model: str, value):
+    """Pr[holds(h + R)], with R a uniformly random value-subset of the
+    non-edges of h (model "uniform", exact Fraction) or each non-edge
+    taken independently with probability value (model "bernoulli").
+    Enumerates every subset of the non-edges, so h must be tiny."""
+    pool = [(u, v) for u, v in combinations(range(h.n), 2) if not h.has_edge(u, v)]
+
+    def hits(k: int) -> int:
+        return sum(holds(Graph(h.n, h.edges() + list(r)))
+                   for r in combinations(pool, k))
+
+    if model == "uniform":
+        return Fraction(hits(value), math.comb(len(pool), value))
+    size = len(pool)
+    return sum(hits(k) * value**k * (1 - value) ** (size - k) for k in range(size + 1))

@@ -186,9 +186,9 @@ def test_criterion_7_clique_threshold_and_exact_cap():
     h = complete_multipartite([n_part, n_part])
     parts = (range(n_part), range(n_part, 2 * n_part))
     capped = 0
-    for gi, m in enumerate(cfg.grid):
-        for ti in range(cfg.trials):
-            ts = cfg.master_seed.derive(gi, ti)
+    for ti in range(cfg.trials):
+        ts = cfg.master_seed.derive(ti)
+        for m in cfg.grid:
             aug = augment_uniform(h, m, ts.stream(1))
             tri = any(
                 contains_kr(induced_subgraph(aug.graph, p), 3).holds for p in parts

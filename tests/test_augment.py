@@ -83,6 +83,26 @@ def test_uniform_draw_matches_scalar_fisher_yates(n, seed, data):
         assert res.added == scalar_fisher_yates(pool, m, SeedSpec(seed, 3))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**32), st.data())
+def test_augmentation_is_nested_in_m_and_p(n, seed, data):
+    # run_sweep decides a whole trial from one bisection, which is sound
+    # only while one seed's added edges grow with m (as a prefix) and
+    # with p (as a subset)
+    g = gnm(n, data.draw(st.integers(0, n * (n - 1) // 2)), SeedSpec(seed))
+    pool = len(non_edges(g))
+    big = data.draw(st.integers(0, pool))
+    small = data.draw(st.integers(0, big))
+    full = augment_uniform(g, big, SeedSpec(seed, 1)).added
+    assert augment_uniform(g, small, SeedSpec(seed, 1)).added == full[:small]
+    q = data.draw(st.floats(0, 1))
+    p = data.draw(st.floats(0, q))
+    more = augment_bernoulli(g, q, SeedSpec(seed, 1)).added
+    fewer = augment_bernoulli(g, p, SeedSpec(seed, 1)).added
+    kept = set(fewer)
+    assert list(fewer) == [e for e in more if e in kept]
+
+
 @pytest.mark.parametrize("bound", [2**32 + 5, 2**40])
 def test_vectorised_draw_stream_for_bounds_past_32_bits(bound):
     # numpy switches to its 64-bit path above 2**32; the array-bounds

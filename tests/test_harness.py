@@ -1,15 +1,24 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sprinkle import SeedSpec
+from oracles import (
+    brute_contains_kr,
+    brute_diameter,
+    brute_is_connected,
+    brute_is_k_connected,
+    exact_probability,
+    full_grid_sweep,
+    random_graph,
+)
+from sprinkle import SeedSpec, non_edges
 from sprinkle.harness import (
     SweepConfig,
     estimate_threshold,
-    pava,
     run_sweep,
     wilson_interval,
 )
@@ -76,25 +85,31 @@ def test_sweep_reproducible_counts_and_csv():
 def test_sweep_csv_golden():
     # sha256 of each CSV, one small sweep per generator family served
     # through run_sweep; pinned so a refactor that must keep the random
-    # stream and every verdict can show that it did
+    # stream and every verdict can show that it did.  The first CSV is
+    # the same for every seed (each non-edge of two_cliques joins the
+    # cliques), so the two_cliques diameter case stands in for it.
     cases = [
         ({}, "1f60963b75345e8cb40ca12bea2dad37683830c46f6e9ba7e9e333b09f769f22"),
+        (dict(generator={"name": "two_cliques", "params": {"n": 12}},
+              grid=(0, 6, 12, 20, 30), trials=30, master_seed=SeedSpec(9),
+              property={"name": "diameter_le", "params": {"t": 2}}),
+         "da84c972aa0273d267ece55063c7bed72983aa5ef63bf41b0217b5fa8fe1f3b8"),
         (dict(generator={"name": "complete_multipartite", "params": {"parts": [3, 3, 3]}},
               grid=(0, 1, 2, 4), trials=30, master_seed=SeedSpec(5),
               property={"name": "contains_kr", "params": {"r": 5}}),
-         "f9a40c0c249b8cfb5117eec8a49b29a53ae66a5446637ca3dce096141421adea"),
+         "b1bce33f25eb562c61f28afbce70d9a77f482540eb85ae90eb9a7b71f5af1e0f"),
         (dict(generator={"name": "disjoint_cliques", "params": {"n": 12, "clique_size": 4}},
               grid=(0, 4, 10, 20), trials=30, master_seed=SeedSpec(6),
               property={"name": "k_connected", "params": {"k": 2}}),
-         "a67001836705bf604a8a4464051edf97659c456f3a816e2968758ee2b99c804d"),
+         "d9e237ae88575b7f08deb201370800b31ad975adaaf5351fbcf3b642f1606585"),
         (dict(generator={"name": "blocked_gnp", "params": {"n": 16, "d": "1/4"}},
               model="bernoulli", grid=(0.0, 0.05, 0.2), trials=30, master_seed=SeedSpec(7),
               property={"name": "diameter_le", "params": {"t": 3}}),
-         "9291f5f2578922a96cb3d1e4495a03930a6e7ac444adabc18a1cff030d3bce8a"),
+         "4f2444f84c04b23950e4b172771de276c66d1cb982c326b6f68de6e4e2873166"),
         (dict(generator={"name": "gnm", "params": {"n": 20, "M": 30}},
               grid=(0, 5, 20), trials=30, master_seed=SeedSpec(8),
               property={"name": "diameter_ge", "params": {"t": 4}}),
-         "1ea1b325e359323c57fdef945c1d9c853f95657b4fe192d75d58476d6429d34d"),
+         "fa3eb016d4275ab7d1d501c8bffba3fd96410df6925ebcea99de16dd7150a5fd"),
     ]
     for overrides, digest in cases:
         csv = run_sweep(make_config(**overrides)).to_csv()
@@ -131,8 +146,8 @@ def test_seed_free_generators_are_exactly_those_ignoring_the_seed():
 
 @pytest.mark.parametrize("name,model,grid,calls", [
     ("two_cliques", "uniform", (0, 2, 6), 1),
-    ("gnm", "uniform", (0, 2, 6), 15),
-    ("blocked_gnp", "bernoulli", (0.0, 0.5), 10),
+    ("gnm", "uniform", (0, 2, 6), 5),
+    ("blocked_gnp", "bernoulli", (0.0, 0.5), 5),
 ])
 def test_base_built_once_per_sweep_only_when_seed_free(monkeypatch, name, model,
                                                        grid, calls):
@@ -151,6 +166,117 @@ def test_base_built_once_per_sweep_only_when_seed_free(monkeypatch, name, model,
     assert len(seen) == calls
     assert sweep_mod.GENERATORS[name] is gen
     assert res.to_csv() == run_sweep(cfg).to_csv()
+
+
+# the sweep decides a trial's whole grid from one bisection; these pin it
+# to checking every (grid, trial) cell on its own
+COUPLING_BASES = {
+    "two_cliques": {"n": 8},
+    "disjoint_cliques": {"n": 9, "clique_size": 3},
+    "complete_multipartite": {"parts": [2, 3, 3]},
+    "path": {"n": 7},
+    "gnm": {"n": 8, "M": 18},
+    "blocked_gnp": {"n": 10, "d": "1/4"},
+    "mader_tightness": {"n": 14, "k": 3},
+}
+
+
+def assert_matches_full_grid(cfg):
+    res = run_sweep(cfg)
+    assert [(pt.successes, pt.infeasible) for pt in res.points] == full_grid_sweep(cfg)
+    assert all(pt.trials == cfg.trials and pt.indeterminate == 0 for pt in res.points)
+
+
+@pytest.mark.parametrize("name,model,grid,prop", [
+    ("two_cliques", "uniform", (0, 1, 3, 6, 10, 16, 17, 30), ("connected", {})),
+    ("path", "bernoulli", (0.0, 0.05, 0.2, 0.5, 1.0), ("diameter_ge", {"t": 3})),
+    ("gnm", "uniform", (0, 2, 5, 9, 10, 11, 20), ("diameter_ge", {"t": 2})),
+    ("blocked_gnp", "uniform", (0, 5, 20, 30, 31, 32, 33, 34, 35, 40),
+     ("diameter_le", {"t": 2})),
+    ("mader_tightness", "bernoulli", (0.0, 0.1, 0.3), ("k_connected", {"k": 3})),
+    ("complete_multipartite", "uniform", (0, 1, 2, 3, 4, 5), ("contains_kr", {"r": 4})),
+])
+def test_sweep_matches_full_grid_oracle_cases(name, model, grid, prop):
+    assert_matches_full_grid(make_config(
+        generator={"name": name, "params": COUPLING_BASES[name]}, model=model,
+        grid=grid, trials=12, property={"name": prop[0], "params": prop[1]}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(COUPLING_BASES)), st.sampled_from(["uniform", "bernoulli"]),
+       st.sampled_from(sorted(sweep_mod.PROPERTIES)), st.integers(1, 4),
+       st.integers(0, 2**32), st.data())
+def test_sweep_matches_full_grid_oracle(name, model, prop, param, seed, data):
+    params = COUPLING_BASES[name]
+    n = params.get("n") or sum(params["parts"])
+    if model == "uniform":  # reaching past the pool leaves an infeasible suffix
+        values = st.integers(0, n * (n - 1) // 2)
+    else:
+        values = st.floats(0, 1)
+    grid = sorted(data.draw(st.lists(values, min_size=1, max_size=7, unique=True)))
+    assert_matches_full_grid(make_config(
+        generator={"name": name, "params": params}, model=model, grid=tuple(grid),
+        trials=data.draw(st.integers(1, 6)), master_seed=SeedSpec(seed),
+        property={"name": prop, "params": {"r": param, "t": param, "k": param}}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(sweep_mod.PROPERTIES)), st.integers(2, 9),
+       st.integers(1, 5), st.integers(0, 2**32))
+def test_every_property_is_monotone_in_its_direction(name, n, param, seed):
+    # bisecting a trial's grid is sound only while adding an edge never
+    # moves a property against its stated direction
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.random())
+    pool = non_edges(g)
+    assume(pool)
+    prop, direction = sweep_mod.PROPERTIES[name]
+    params = {"r": param, "t": param, "k": param}
+    before = prop(g, params)
+    after = prop(g.with_edges([rng.choice(pool)]), params)
+    assert (int(after) - int(before)) * direction >= 0
+
+
+BRUTE_PROPERTIES = {
+    "connected": lambda g, p: brute_is_connected(g),
+    "diameter_le": lambda g, p: brute_diameter(g) <= p["t"],
+    "diameter_ge": lambda g, p: brute_diameter(g) >= p["t"],
+    "contains_kr": lambda g, p: brute_contains_kr(g, p["r"]),
+    "k_connected": lambda g, p: brute_is_k_connected(g, p["k"]),
+}
+
+
+@pytest.mark.parametrize("generator,prop,model,grid", [
+    ({"name": "two_cliques", "params": {"n": 6}}, {"name": "connected", "params": {}},
+     "uniform", (0, 1, 2, 5, 9)),
+    ({"name": "two_cliques", "params": {"n": 6}},
+     {"name": "diameter_le", "params": {"t": 2}}, "uniform", (1, 2, 3, 4, 6)),
+    ({"name": "disjoint_cliques", "params": {"n": 6, "clique_size": 3}},
+     {"name": "k_connected", "params": {"k": 2}}, "uniform", (2, 3, 4, 5, 7)),
+    ({"name": "complete_multipartite", "params": {"parts": [2, 2, 3]}},
+     {"name": "contains_kr", "params": {"r": 4}}, "bernoulli", (0.1, 0.3, 0.6)),
+    ({"name": "path", "params": {"n": 6}}, {"name": "diameter_ge", "params": {"t": 3}},
+     "bernoulli", (0.05, 0.2, 0.4, 0.7)),
+    ({"name": "cycle", "params": {"n": 6}}, {"name": "k_connected", "params": {"k": 3}},
+     "bernoulli", (0.2, 0.5, 0.8)),
+])
+def test_sweep_matches_exact_probability(generator, prop, model, grid):
+    # every grid point's success count must lie within 4.5 binomial
+    # standard deviations (+1) of trials * Pr[P at m], the probability
+    # taken exactly by enumerating the edge sets a tiny base can receive
+    trials = 400
+    res = run_sweep(make_config(generator=generator, property=prop, model=model,
+                                grid=grid, trials=trials, master_seed=SeedSpec(2024)))
+    h = sweep_mod.GENERATORS[generator["name"]](generator["params"], None)
+    assert h.n <= 7
+
+    def holds(g):
+        return BRUTE_PROPERTIES[prop["name"]](g, prop["params"])
+
+    for pt in res.points:
+        p = float(exact_probability(h, holds, model, pt.value))
+        sd = math.sqrt(trials * p * (1 - p))
+        assert abs(pt.successes - trials * p) <= 4.5 * sd + 1, (pt.value, pt.successes, p)
 
 
 def test_sweep_infeasible_m_counts_as_flagged_failure():
@@ -250,34 +376,6 @@ def test_wilson_interval_contains_phat(successes, trials):
     assert 0.0 <= lo <= successes / trials <= hi <= 1.0
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(st.floats(0, 1), min_size=1, max_size=20),
-    st.data(),
-)
-def test_pava_properties(values, data):
-    weights = data.draw(
-        st.lists(
-            st.floats(0.5, 100), min_size=len(values), max_size=len(values)
-        )
-    )
-    fit = pava(values, weights)
-    assert len(fit) == len(values)
-    assert all(b >= a - 1e-12 for a, b in zip(fit, fit[1:]))
-    # weighted means agree
-    assert math.isclose(
-        sum(f * w for f, w in zip(fit, weights)),
-        sum(v * w for v, w in zip(values, weights)),
-        rel_tol=1e-9,
-        abs_tol=1e-9,
-    )
-
-
-def test_pava_sorted_input_unchanged():
-    vals = [0.1, 0.2, 0.5, 0.9]
-    assert pava(vals, [1] * 4) == vals
-
-
 def test_estimate_threshold_step_example():
     res = fake_result([1, 2, 3, 4], [0.0, 0.0, 1.0, 1.0])
     est = estimate_threshold(res)
@@ -307,6 +405,17 @@ def test_estimate_threshold_skips_undecided_points():
         estimate_threshold(none)
 
 
+def test_estimate_threshold_skips_infeasible_points():
+    # an m past the base's 9 non-edges is an infeasible failure stored
+    # with p_hat 0; it estimates nothing and must not enter the curve
+    res = run_sweep(make_config(generator={"name": "two_cliques", "params": {"n": 6}},
+                                grid=(0, 1, 9, 10, 12), trials=10))
+    assert [pt.infeasible for pt in res.points] == [0, 0, 0, 10, 10]
+    assert [pt.p_hat for pt in res.points] == [0.0, 1.0, 1.0, 0.0, 0.0]
+    est = estimate_threshold(res)
+    assert est.bracket == (0, 1) and est.m_half == 0.5
+
+
 def test_estimate_threshold_all_high_errors():
     res = fake_result([1, 2, 3], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="widen"):
@@ -320,11 +429,13 @@ def test_estimate_threshold_all_low_errors():
 
 
 def test_estimate_threshold_noisy_curve_regression():
+    # run_sweep's curves are monotone by construction; a curve that is
+    # not is refused rather than smoothed
     res = fake_result([10, 20, 30, 40, 50], [0.1, 0.35, 0.3, 0.7, 0.95])
-    est = estimate_threshold(res)
-    assert 20 <= est.m_half <= 40
-    assert est.bracket[0] < est.bracket[1]
-    assert est.bracket[0] <= est.m_half <= est.bracket[1]
+    with pytest.raises(ValueError, match="not monotone"):
+        estimate_threshold(res)
+    with pytest.raises(ValueError, match="not monotone"):
+        estimate_threshold(fake_result([1, 5, 9], [0.9, 0.1, 0.5], direction=-1))
 
 
 def test_estimate_threshold_decreasing_direction():
@@ -332,17 +443,6 @@ def test_estimate_threshold_decreasing_direction():
     est = estimate_threshold(res)
     assert est.bracket == (5, 9)
     assert 5 <= est.m_half <= 9
-
-
-def test_monotonicity_warning_flags():
-    res_ok = fake_result([1, 2, 3], [0.1, 0.5, 0.9])
-    assert res_ok.monotonicity_warnings == ()
-    cfg = make_config(grid=(1, 2), trials=50)
-    # build via run_sweep to exercise the warning computation
-    res = run_sweep(make_config(grid=(0, 1, 2, 4, 8), trials=30))
-    # connected probability is monotone increasing; no warnings expected
-    # beyond CI noise on this well-behaved family
-    assert isinstance(res.monotonicity_warnings, tuple)
 
 
 def test_seed_derivation_distinguishes_cells():
