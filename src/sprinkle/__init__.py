@@ -8,7 +8,7 @@ parts, epsilon-regular pair verification, and a reproducible Monte
 Carlo sweep harness with preset threshold experiments.
 """
 
-from .augment import AugmentResult, augment_bernoulli, augment_uniform, split_budget
+from .augment import AugmentResult, augment_bernoulli, augment_uniform
 from .checkers import (
     DensityMeasure,
     PropertyVerdict,

@@ -1,5 +1,5 @@
 """Random edge addition: the uniform m-subset model and the independent
-per-non-edge Bernoulli model, plus the phased-budget helper."""
+per-non-edge Bernoulli model."""
 
 from __future__ import annotations
 
@@ -58,13 +58,3 @@ def augment_bernoulli(h: Graph, p: float, seed: SeedSpec) -> AugmentResult:
     added = tuple(pool[i] for i in keep)
     return AugmentResult(h.with_edges(added), added, h.edge_count, seed)
 
-
-def split_budget(m: int, phases: int) -> list[int]:
-    """Split m into the given number of balanced nonnegative counts
-    (any two differ by at most 1), e.g. for phased edge addition."""
-    if phases < 1:
-        raise ValueError("need at least one phase")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    base, extra = divmod(m, phases)
-    return [base + 1] * extra + [base] * (phases - extra)

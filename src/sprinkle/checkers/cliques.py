@@ -1,10 +1,10 @@
 """Exact clique checkers: maximum clique, fixed-size clique detection,
 and clique counting.
 
-All three work on integer-bitmask adjacency.  The maximum-clique search
-is a branch and bound with a greedy-coloring bound; the fixed-size
-detector is an independent early-exit search so it never pays for the
-full optimum.
+All three work on integer-bitmask adjacency.  Maximum clique and
+fixed-size detection share one branch and bound with a greedy-coloring
+bound; the fixed-size question only raises its floor and stops at the
+first clique of size r, so it never pays for the full optimum.
 """
 
 from __future__ import annotations
@@ -31,30 +31,56 @@ def _color_order(p: int, masks) -> list[tuple[int, int]]:
     return out
 
 
+def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:
+    """Branch and bound over the cliques of g with more than floor
+    vertices, bounded by a greedy coloring of the candidate set.
+
+    Returns the largest such clique it finds, stopping at the first one
+    with stop vertices, or [] when none exists.  A node's need is how
+    many vertices a clique must add to the current one to beat both
+    floor and the best so far; it is recomputed only when the best may
+    have grown.
+    """
+    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    best: list[int] = []
+    cur: list[int] = []
+    bar = floor  # the size a clique must beat: max(len(best), floor)
+
+    def expand(p: int, depth: int) -> bool:
+        nonlocal bar
+        need = bar - depth
+        if p.bit_count() <= need:
+            return False
+        last = depth + 1 >= stop
+        for v, bound in reversed(_color_order(p, masks)):
+            if bound <= need:
+                return False
+            cur.append(v)
+            if last:
+                best[:] = cur
+                return True
+            nxt = p & masks[v]
+            if nxt:
+                if expand(nxt, depth + 1):
+                    return True
+                need = bar - depth
+            elif need < 1:
+                best[:] = cur
+                bar = depth + 1
+                need = 1
+            cur.pop()
+            p ^= 1 << v
+        return False
+
+    expand((1 << g.n) - 1, 0)
+    return best
+
+
 def max_clique(g: Graph) -> VertexSet:
     """One maximum clique, as a sorted vertex tuple."""
     if g.n == 0:
         raise ValueError("max_clique undefined on the empty graph (n=0)")
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
-    best: list[int] = []
-    cur: list[int] = []
-
-    def expand(p: int) -> None:
-        order = _color_order(p, masks)
-        for v, bound in reversed(order):
-            if len(cur) + bound <= len(best):
-                return
-            cur.append(v)
-            nxt = p & masks[v]
-            if nxt:
-                expand(nxt)
-            elif len(cur) > len(best):
-                best[:] = cur
-            cur.pop()
-            p ^= 1 << v
-
-    expand((1 << g.n) - 1)
-    return tuple(sorted(best))
+    return tuple(sorted(_clique_search(g, 0, g.n)))
 
 
 def clique_number(g: Graph) -> int:
@@ -62,39 +88,14 @@ def clique_number(g: Graph) -> int:
 
 
 def contains_kr(g: Graph, r: int) -> PropertyVerdict:
-    """Does g contain a clique on r vertices?  Early-exit search; on
-    success the witness is one such clique."""
+    """Does g contain a clique on r vertices?  The search stops at the
+    first one, which is the witness."""
     if r < 1:
         raise ValueError("r must be positive")
     if r > g.n:
         return PropertyVerdict(False, reason=f"only {g.n} vertices")
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
-    cur: list[int] = []
-    found: list[int] = []
-
-    def search(p: int) -> bool:
-        need = r - len(cur)
-        if p.bit_count() < need:
-            return False
-        order = _color_order(p, masks)
-        if order[-1][1] < need:
-            return False
-        for v, bound in reversed(order):
-            if bound < need:
-                return False
-            cur.append(v)
-            if need == 1:
-                found[:] = cur
-                cur.pop()
-                return True
-            if search(p & masks[v]):
-                cur.pop()
-                return True
-            cur.pop()
-            p ^= 1 << v
-        return False
-
-    if search((1 << g.n) - 1):
+    found = _clique_search(g, r - 1, r)
+    if found:
         return PropertyVerdict(True, witness=tuple(sorted(found)))
     return PropertyVerdict(False, reason=f"no K_{r}")
 

@@ -11,22 +11,28 @@ degree at least (n + k - 2) / 2 forces k-connectivity outright.
 
 from __future__ import annotations
 
-from ..core import Graph, _bits
+from ..core import Graph, _bits, vertex_mask
 from ._verdict import PropertyVerdict
 from .distance import _eccentricity
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the components, each sorted, in order of their
-    least vertex.  Each component is the ball of a mask-frontier BFS."""
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
-    full = unseen = (1 << g.n) - 1
+def _components(masks, alive: int) -> list[list[int]]:
+    """Vertex sets of the components of the subgraph induced by the
+    vertex mask alive, each sorted, in order of their least vertex.
+    Each component is the ball of a mask-frontier BFS."""
+    unseen = alive
     comps = []
     while unseen:
-        _, comp = _eccentricity(masks, full, (unseen & -unseen).bit_length() - 1)
+        _, comp = _eccentricity(masks, alive, (unseen & -unseen).bit_length() - 1)
         unseen &= ~comp
         comps.append(_bits(comp))
     return comps
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex sets of the components, each sorted, in order of their
+    least vertex."""
+    return _components([g.adjacency_mask(v) for v in range(g.n)], (1 << g.n) - 1)
 
 
 def is_connected(g: Graph) -> bool:
@@ -55,9 +61,7 @@ def _disjoint_paths(masks, t: int, k: int, s: int | None = None, members=()):
     """
     frm = [0] * len(masks)
     used = fed = 0  # vertices whose split arc carries flow; members fed by the super-source
-    member_mask = 0
-    for v in members:
-        member_mask |= 1 << v
+    member_mask = vertex_mask(members)
     flow = 0
     while flow < k:
         # every residual arc joins an out-side to an in-side, so the BFS

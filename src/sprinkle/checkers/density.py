@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import Graph, VertexSet
+from ..core import Graph, VertexSet, edges_within
 from ._maxflow import MaxFlow
 
 
@@ -21,13 +21,6 @@ from ._maxflow import MaxFlow
 class DensityMeasure:
     value: Fraction
     witness_set: VertexSet
-
-
-def _edges_inside(g: Graph, s: list[int]) -> int:
-    mask = 0
-    for v in s:
-        mask |= 1 << v
-    return sum((g.adjacency_mask(v) & mask).bit_count() for v in s) // 2
 
 
 def _denser_set(g: Graph, a: int, b: int) -> list[int] | None:
@@ -66,7 +59,7 @@ def max_subgraph_density(g: Graph) -> DensityMeasure:
         s = _denser_set(g, best.numerator, best.denominator)
         if s is None:
             return DensityMeasure(best, witness)
-        value = Fraction(_edges_inside(g, s), len(s))
+        value = Fraction(edges_within(g, s), len(s))
         if value <= best:
             raise RuntimeError("density search failed to improve; flow network bug")
         best = value

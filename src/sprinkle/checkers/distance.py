@@ -14,7 +14,8 @@ from ._verdict import PropertyVerdict
 
 
 def _eccentricity(masks, full: int, v: int, cutoff: int | None = None):
-    """(eccentricity, visited mask); eccentricity is None if cutoff hit
+    """(eccentricity, visited mask) of v in the subgraph induced by the
+    vertex mask full, which holds v; eccentricity is None if cutoff hit
     before the ball covered every vertex."""
     visited = frontier = 1 << v
     depth = 0
@@ -27,7 +28,7 @@ def _eccentricity(masks, full: int, v: int, cutoff: int | None = None):
             low = m & -m
             nxt |= masks[low.bit_length() - 1]
             m ^= low
-        nxt &= ~visited
+        nxt &= full ^ visited
         if not nxt:
             break
         visited |= nxt

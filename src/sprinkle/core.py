@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Collection, Iterable, Sequence
 
 VertexSet = tuple[int, ...]
 Edge = tuple[int, int]
@@ -152,6 +152,21 @@ def is_dense(g: Graph, d) -> bool:
     return min_degree(g) >= threshold
 
 
+def vertex_mask(ids: Iterable[int]) -> int:
+    """The vertex set ids as a bitmask (bit v set iff v is in ids)."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
+
+
+def edges_within(g: Graph, ids: Collection[int]) -> int:
+    """Number of edges of g with both endpoints in ids, a collection of
+    distinct vertices."""
+    mask = vertex_mask(ids)
+    return sum((g._masks[v] & mask).bit_count() for v in ids) // 2
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """Subgraph induced by the vertex set s, relabeled 0..|s|-1 in
     increasing order of the original ids."""
@@ -231,4 +246,7 @@ def read_edge_list(source: str | Path | IO[str]) -> Graph:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'u v'")
         edges.append((fields[0], fields[1]))
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if g.edge_count != m:
+        raise ValueError(f"header declares {m} edges but {g.edge_count} distinct edges found")
+    return g

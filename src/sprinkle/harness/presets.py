@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from ..augment import augment_uniform
-from ..checkers import PropertyVerdict, is_k_connected
+from ..checkers import PropertyVerdict, connected_components, is_k_connected
 from ..core import density_param, non_edges
 from ..generators import disjoint_cliques, nearly_equal_parts
 from ..seeds import SeedSpec, as_seed
@@ -235,15 +235,11 @@ def deterministic_lower_bound_check(
     if not 2 * max_r < k * t:
         raise RuntimeError("pigeonhole arithmetic failed; defect")
 
-    # clique vertex ranges of the construction
-    tally = [s] * t
-    for i in range(n - t * s):
-        tally[i % t] += 1
-    ranges = []
-    start = 0
-    for size in tally:
-        ranges.append((start, start + size))
-        start += size
+    # the components of a disjoint union of cliques are its cliques
+    clique_of = [0] * n
+    for ci, members in enumerate(connected_components(h)):
+        for v in members:
+            clique_of[v] = ci
 
     pool = non_edges(h)
     if max_r > len(pool):
@@ -252,8 +248,7 @@ def deterministic_lower_bound_check(
         aug = augment_uniform(h, max_r, seed.derive(i))
         incident = [0] * t
         for (u, v) in aug.added:
-            cu = next(ci for ci, (lo, hi) in enumerate(ranges) if lo <= u < hi)
-            cv = next(ci for ci, (lo, hi) in enumerate(ranges) if lo <= v < hi)
+            cu, cv = clique_of[u], clique_of[v]
             incident[cu] += 1
             if cv != cu:
                 incident[cv] += 1

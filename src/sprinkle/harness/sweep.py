@@ -156,6 +156,9 @@ class SweepConfig:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"grid must be strictly increasing, got {grid}")
+        # bool subclasses int, so True would pass as 1
+        if any(isinstance(v, bool) for v in grid):
+            raise ValueError(f"grid values must be numbers, not booleans, got {grid}")
         if self.model == "uniform" and any(
             (not isinstance(v, int)) or v < 0 for v in grid
         ):

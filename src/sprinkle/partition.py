@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Graph, VertexSet, induced_subgraph, min_degree
-from .checkers.connectivity import connected_components, is_k_connected
+from .core import Graph, VertexSet, edges_within, induced_subgraph, min_degree, vertex_mask
+from .checkers.connectivity import _components, connected_components, is_k_connected
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,10 @@ def mader_subgraph(g: Graph, k: int) -> VertexSet:
     excess = target - 1
     masks = [g.adjacency_mask(v) for v in range(g.n)]
 
-    def edges_inside(member_mask: int, members: list[int]) -> int:
-        return sum((masks[v] & member_mask).bit_count() for v in members) // 2
-
     work = list(range(g.n))
     while True:
         # peel any vertex with degree <= gamma inside the working set
-        wmask = 0
-        for v in work:
-            wmask |= 1 << v
+        wmask = vertex_mask(work)
         changed = True
         while changed:
             changed = False
@@ -106,17 +101,13 @@ def mader_subgraph(g: Graph, k: int) -> VertexSet:
         ok, separator = _certified_subset(g, work, target)
         if ok:
             return tuple(sorted(work))
-        comps = _components_avoiding(masks, work, separator)
-        # candidate sides: each component plus the separator; at least
-        # one keeps the density property
+        # candidate sides: each component of the working set minus the
+        # separator, plus the separator; at least one keeps the density
+        # property
         best_side = None
-        for comp in comps:
+        for comp in _components(masks, wmask & ~vertex_mask(separator)):
             side_ids = sorted(set(comp) | separator)
-            smask = 0
-            for v in side_ids:
-                smask |= 1 << v
-            e_side = edges_inside(smask, side_ids)
-            if e_side > gamma * (len(side_ids) - excess):
+            if edges_within(g, side_ids) > gamma * (len(side_ids) - excess):
                 if best_side is None or len(side_ids) > len(best_side):
                     best_side = side_ids
         if best_side is None or len(best_side) >= len(work):
@@ -124,36 +115,11 @@ def mader_subgraph(g: Graph, k: int) -> VertexSet:
         work = best_side
 
 
-def _components_avoiding(masks, vertices, banned) -> list[list[int]]:
-    """Connected components of the subgraph on `vertices` minus `banned`,
-    in original vertex labels."""
-    alive = set(vertices) - set(banned)
-    comps = []
-    while alive:
-        start = min(alive)
-        comp = [start]
-        alive.discard(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            m = masks[u]
-            for v in list(alive):
-                if (m >> v) & 1:
-                    alive.discard(v)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
-def dense_partition(g: Graph, k: int, debug: bool = False) -> PartitionResult:
+def dense_partition(g: Graph, k: int) -> PartitionResult:
     """Partition of the vertex set into parts with at least ceil(k/8)
     vertices and induced connectivity at least ceil(k^2/(16n)),
-    for a graph of minimum degree at least k > 0.
-
-    With debug=True every absorption step re-certifies the grown part
-    instead of trusting the final verification alone.
-    """
+    for a graph of minimum degree at least k > 0.  Every part is
+    re-certified by the connectivity checker before returning."""
     if k <= 0:
         raise ValueError("k must be positive")
     if min_degree(g) < k:
@@ -176,21 +142,14 @@ def dense_partition(g: Graph, k: int, debug: bool = False) -> PartitionResult:
             residual = sorted(unassigned)
             if not residual:
                 break
-            rmask = 0
-            for v in residual:
-                rmask |= 1 << v
-            e_res = sum((masks[v] & rmask).bit_count() for v in residual) // 2
-            if 2 * e_res < seed_k * len(residual):
+            if 2 * edges_within(g, residual) < seed_k * len(residual):
                 break
             sub = induced_subgraph(g, residual)
             local = mader_subgraph(sub, seed_k)
             seed = tuple(residual[i] for i in local)
             seeds.append(seed)
-            smask = 0
-            for v in seed:
-                smask |= 1 << v
             parts.append(set(seed))
-            part_masks.append(smask)
+            part_masks.append(vertex_mask(seed))
             unassigned -= set(seed)
             progress = True
         # phase 2: absorb outside vertices with enough neighbors in a part
@@ -205,12 +164,6 @@ def dense_partition(g: Graph, k: int, debug: bool = False) -> PartitionResult:
                         unassigned.discard(v)
                         changed = True
                         progress = True
-                        if debug:
-                            ok, _ = _certified_subset(g, sorted(parts[i]), conn_bound)
-                            if not ok:
-                                raise RuntimeError(
-                                    f"absorption broke connectivity of part {i}"
-                                )
                         break
         # phase 3: anything left loops back to seed extraction; the
         # leftover has induced minimum degree above k/2 so extraction

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .core import Graph, VertexSet, as_fraction
+from .core import Graph, VertexSet, as_fraction, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,8 @@ def _check_sides(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[list, li
     return sa, sb
 
 
-def _mask(ids: Iterable[int]) -> int:
-    m = 0
-    for v in ids:
-        m |= 1 << v
-    return m
-
-
 def cross_edges(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
-    bm = _mask(b)
+    bm = vertex_mask(b)
     return sum((g.adjacency_mask(v) & bm).bit_count() for v in a)
 
 
@@ -127,14 +120,14 @@ def is_eps_regular_exact(g: Graph, a, b, eps, cap: int = 16) -> RegularPairRepor
                 m |= 1 << i
         deg_mask_b.append(m)
 
-    y_masks = [_mask(t) for t in ys]
+    y_masks = [vertex_mask(t) for t in ys]
     # violation thresholds per (|X|, |Y|): |e * na*nb - e_ab * nx*ny| * eps_den
     # >= eps_num * nx*ny*na*nb, kept in integers
     en, ed = eps.numerator, eps.denominator
     nanb = na * nb
 
     for xt in xs:
-        xmask = _mask(xt)
+        xmask = vertex_mask(xt)
         nx = len(xt)
         # cross degree from each B vertex into X
         deg_into_x = [(dm & xmask).bit_count() for dm in deg_mask_b]
@@ -198,7 +191,7 @@ def count_union_violations(
             f"{base}^{params.k - 1} < {params.eps}"
         )
     threshold = (1 - base**params.k) * len(sb)
-    bmask = _mask(sb)
+    bmask = vertex_mask(sb)
     nbr = [g.adjacency_mask(v) & bmask for v in sa]
     k = params.k
 
@@ -242,7 +235,7 @@ def count_intersection_violations(
             f"{gap}^{params.k - 1} * {len(sy)} <= {params.eps} * {len(sb)}"
         )
     threshold = gap**params.k * len(sy)
-    ymask = _mask(sy)
+    ymask = vertex_mask(sy)
     nbr = [g.adjacency_mask(v) & ymask for v in sa]
     k = params.k
     na = len(sa)

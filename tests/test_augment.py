@@ -17,7 +17,6 @@ from sprinkle import (
     is_k_connected,
     non_edges,
     path_graph,
-    split_budget,
 )
 
 
@@ -154,23 +153,6 @@ def test_bernoulli_mean_concentration():
     mean = total / trials
     sigma = math.sqrt(1225 * 0.1 * 0.9 / trials)
     assert abs(mean - 122.5) <= 3 * sigma
-
-
-def test_split_budget_examples():
-    assert split_budget(10, 3) == [4, 3, 3]
-    assert split_budget(0, 2) == [0, 0]
-    assert split_budget(7, 7) == [1] * 7
-    with pytest.raises(ValueError):
-        split_budget(5, 0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 50))
-def test_split_budget_balanced(m, phases):
-    parts = split_budget(m, phases)
-    assert sum(parts) == m and len(parts) == phases
-    assert max(parts) - min(parts) <= 1
-    assert all(p >= 0 for p in parts)
 
 
 def test_monotone_coupling_distributional():

@@ -50,7 +50,7 @@ from sprinkle import (
     two_cliques,
     vertex_connectivity,
 )
-from sprinkle.checkers.connectivity import _disjoint_paths
+from sprinkle.checkers.connectivity import _components, _disjoint_paths
 from sprinkle.core import _bits
 
 
@@ -326,6 +326,18 @@ def test_connected_components_match_neighbor_bfs(n, p, seed):
     # sparse graphs up to n=70 so masks cross 64 bits and components vary
     g = random_graph(random.Random(seed), n, p)
     assert connected_components(g) == bfs_components(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 70), st.floats(0, 0.2), st.integers(0, 2**32), st.data())
+def test_components_in_mask_match_induced_bfs(n, p, seed, data):
+    g = random_graph(random.Random(seed), n, p)
+    full = (1 << n) - 1
+    alive = data.draw(st.sampled_from([0, full]) | st.integers(0, full))
+    ids = _bits(alive)
+    expect = [[ids[i] for i in comp] for comp in bfs_components(induced_subgraph(g, ids))]
+    masks = [g.adjacency_mask(v) for v in range(n)]
+    assert _components(masks, alive) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sprinkle import (
     two_cliques,
     write_edge_list,
 )
+from sprinkle.core import edges_within, vertex_mask
 
 
 def test_build_triangle():
@@ -166,6 +168,14 @@ def test_adjacency_symmetric_no_loops(g):
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
 
 
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=20), st.data())
+def test_edges_within_matches_pair_count(g, data):
+    ids = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n, unique=True))
+    assert vertex_mask(ids) == sum(1 << v for v in ids)
+    assert edges_within(g, ids) == sum(g.has_edge(u, v) for u, v in combinations(ids, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=20), st.data())
 def test_with_edges_matches_rebuild(g, data):
@@ -212,3 +222,6 @@ def test_edge_list_reader_rejects_malformed():
         read_edge_list(io.StringIO("3 2\n0 1\n"))
     with pytest.raises(ValueError, match="integers"):
         read_edge_list(io.StringIO("3 1\na b\n"))
+    # the same edge twice: two lines, as declared, but one distinct edge
+    with pytest.raises(ValueError, match="declares 2 edges but 1 distinct"):
+        read_edge_list(io.StringIO("3 2\n0 1\n1 0\n"))

@@ -338,6 +338,10 @@ def test_config_validation():
         make_config(property={"name": "nope", "params": {}})
     with pytest.raises(ValueError, match="nonnegative integers"):
         make_config(grid=(0.5, 1.5))
+    # bool subclasses int, yet True is not an edge count or a probability
+    for model in ("uniform", "bernoulli"):
+        with pytest.raises(ValueError, match="booleans"):
+            make_config(model=model, grid=(False, True))
 
 
 def test_config_json_roundtrip_rejects_unknown_keys():

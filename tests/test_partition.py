@@ -103,13 +103,6 @@ def test_dense_partition_on_blocked_graph():
         assert is_k_connected(induced_subgraph(g, part), bound).holds
 
 
-def test_dense_partition_debug_mode_agrees():
-    g = disjoint_cliques(24, 6)
-    a = dense_partition(g, 5)
-    b = dense_partition(g, 5, debug=True)
-    assert a.parts == b.parts
-
-
 def test_dense_partition_deterministic():
     g = gnm(40, 260, SeedSpec(9))
     k = min_degree(g)
