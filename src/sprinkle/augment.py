@@ -1,9 +1,18 @@
-"""Random edge addition: the uniform m-subset model and the independent
-per-non-edge Bernoulli model."""
+"""Random edge addition along one labelled order of the non-edges.
+
+The non-edge of h at lexicographic position i gets the label U[i],
+where U = seed.generator().random(N) holds iid uniform labels.  The
+uniform m-subset model takes the m pairs with the smallest labels and
+the Bernoulli model every pair with a label below p, both listed in
+increasing (label, position) order.  So, as in the random graph
+process, one seed's edge sets are nested: its set at a smaller m (or p)
+is a prefix of its set at a larger one.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,50 +20,52 @@ from .core import Edge, Graph, non_edges
 from .seeds import SeedSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentResult:
-    """An augmented graph together with the record that produced it.
+    """The non-edges of base added in (label, position) order, with
+    labels[i] the label of added[i]; graph is built on first read."""
 
-    added lists the new edges in addition order; none of them was an
-    edge of the base graph and e(graph) = base_edge_count + len(added).
-    """
-
-    graph: Graph
+    base: Graph
     added: tuple[Edge, ...]
-    base_edge_count: int
+    labels: np.ndarray
     seed: SeedSpec
+
+    @cached_property
+    def graph(self) -> Graph:
+        return self.base.with_edges(self.added)
+
+
+def _labelled(h: Graph, seed: SeedSpec, picked, limit=None) -> AugmentResult:
+    """The first limit non-edges of h, in (label, position) order, among
+    those at the positions picked(labels) returns in increasing order."""
+    pool = non_edges(h)
+    labels = seed.generator().random(len(pool))
+    keep = picked(labels)
+    kept = labels[keep]
+    order = np.argsort(kept)
+    if (np.diff(kept[order]) == 0).any():  # a tie: break it by position
+        order = np.argsort(kept, kind="stable")  # several times slower
+    keep = keep[order][:limit]
+    return AugmentResult(h, tuple([pool[i] for i in keep.tolist()]), labels[keep], seed)
 
 
 def augment_uniform(h: Graph, m: int, seed: SeedSpec) -> AugmentResult:
-    """Add a uniformly random m-subset of the non-edges of h.
-
-    The subset is drawn by a seeded partial Fisher-Yates shuffle over
-    the lexicographic non-edge list, so identical seeds reproduce the
-    same edges in the same order.  All m swap positions come from one
-    rng.integers call with lower bounds 0..m-1, which draws the same
-    stream as one scalar rng.integers(i, N) per step.
-    """
-    pool = non_edges(h)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > len(pool):
+    """Add the m non-edges of h with the smallest labels, a uniformly
+    random m-subset; only labels up to the m-th smallest are sorted."""
+    size = h.n * (h.n - 1) // 2 - h.edge_count
+    if not 0 <= m <= size:
         raise ValueError(
-            f"m={m} exceeds the {len(pool)} available non-edges (maximum m={len(pool)})"
-        )
-    rng = seed.generator()
-    for i, j in enumerate(rng.integers(np.arange(m), len(pool)).tolist()):
-        pool[i], pool[j] = pool[j], pool[i]
-    added = tuple(pool[:m])
-    return AugmentResult(h.with_edges(added), added, h.edge_count, seed)
+            f"m={m} must lie in 0..{size}, the count of non-edges (maximum m={size})")
+
+    def smallest(labels):
+        cut = np.partition(labels, m - 1)[m - 1] if m else -1.0
+        return np.flatnonzero(labels <= cut)  # a tie at cut may add a few
+
+    return _labelled(h, seed, smallest, m)
 
 
 def augment_bernoulli(h: Graph, p: float, seed: SeedSpec) -> AugmentResult:
-    """Add each non-edge of h independently with probability p."""
+    """Add the non-edges of h with labels below p, each with probability p."""
     if not (0 <= p <= 1):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    pool = non_edges(h)
-    rng = seed.generator()
-    keep = np.flatnonzero(rng.random(len(pool)) < p).tolist()
-    added = tuple(pool[i] for i in keep)
-    return AugmentResult(h.with_edges(added), added, h.edge_count, seed)
-
+    return _labelled(h, seed, lambda labels: np.flatnonzero(labels < p))

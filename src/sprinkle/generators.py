@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .augment import augment_uniform
 from .core import Graph, min_degree
 from .core import density_param
 from .seeds import SeedSpec
@@ -98,39 +99,10 @@ def two_cliques(n: int) -> Graph:
     return Graph(n, edges)
 
 
-def _pair_index_table(n: int) -> list[int]:
-    # offsets[u] = number of pairs (a,b), a<b, with a < u
-    offsets = [0] * (n + 1)
-    for u in range(n):
-        offsets[u + 1] = offsets[u] + (n - 1 - u)
-    return offsets
-
-
-def _unrank_pair(idx: int, n: int, offsets: list[int]) -> tuple[int, int]:
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if offsets[mid] <= idx:
-            lo = mid
-        else:
-            hi = mid - 1
-    u = lo
-    v = u + 1 + (idx - offsets[u])
-    return u, v
-
-
 def gnm(n: int, m: int, seed: SeedSpec) -> Graph:
-    """Uniformly random graph with exactly m edges."""
-    total = n * (n - 1) // 2
-    if m > total:
-        raise ValueError(f"m={m} exceeds the {total} possible edges on n={n}")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    rng = seed.generator()
-    chosen = rng.choice(total, size=m, replace=False)
-    offsets = _pair_index_table(n)
-    edges = [_unrank_pair(int(i), n, offsets) for i in chosen]
-    return Graph(n, edges)
+    """Uniformly random graph with exactly m edges: the m pairs with the
+    smallest labels, drawn as augment_uniform draws them."""
+    return augment_uniform(empty_graph(n), m, seed).graph
 
 
 def blocked_gnp(n: int, d, seed: SeedSpec, max_attempts: int = 100) -> Graph:

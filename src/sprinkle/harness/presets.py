@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ..augment import augment_uniform
 from ..checkers import PropertyVerdict, connected_components, is_k_connected
-from ..core import density_param, non_edges
+from ..core import density_param, induced_subgraph, non_edges
 from ..generators import disjoint_cliques, nearly_equal_parts
 from ..seeds import SeedSpec, as_seed
 from .sweep import SweepConfig
@@ -213,8 +213,9 @@ def deterministic_lower_bound_check(
 
     Any edge meets at most two cliques, so |R| < kt/2 forces some clique
     to be incident to fewer than k added edges; deleting that clique's
-    R-endpoints (fewer than k vertices) disconnects it.  The flow
-    checker then spot-confirms non-k-connectivity on seeded maximal R.
+    R-endpoints (fewer than k vertices) disconnects it.  That cut is
+    checked, and the flow checker spot-confirms non-k-connectivity, on
+    seeded maximal R.
     """
     if name != "thm6":
         raise ValueError(f"deterministic bound is only defined for thm6, got {name!r}")
@@ -236,8 +237,9 @@ def deterministic_lower_bound_check(
         raise RuntimeError("pigeonhole arithmetic failed; defect")
 
     # the components of a disjoint union of cliques are its cliques
+    cliques = connected_components(h)
     clique_of = [0] * n
-    for ci, members in enumerate(connected_components(h)):
+    for ci, members in enumerate(cliques):
         for v in members:
             clique_of[v] = ci
 
@@ -252,8 +254,13 @@ def deterministic_lower_bound_check(
             incident[cu] += 1
             if cv != cu:
                 incident[cv] += 1
-        if min(incident) >= k:
-            raise RuntimeError("pigeonhole violated on a sample; defect")
+        # check the certificate on the graph, not the counts: the least-hit
+        # clique has < k R-endpoints, and deleting them cuts the graph
+        ends = {v for edge in aug.added for v in edge}
+        cut = ends.intersection(cliques[min(range(t), key=incident.__getitem__)])
+        rest = [v for v in range(n) if v not in cut]
+        if len(cut) >= k or len(connected_components(induced_subgraph(aug.graph, rest))) < 2:
+            raise RuntimeError("pigeonhole certificate fails on a sample; defect")
         verdict = is_k_connected(aug.graph, k)
         if verdict.holds:
             return PropertyVerdict(

@@ -1,8 +1,9 @@
 """Declarative Monte Carlo sweeps: generate a base graph, add random
 edges, check a monotone property over an m-grid, repeat.
 
-Trial t's randomness is derived from the master seed and t alone, so
-one trial's graphs at the grid points are nested and a sweep is a pure
+Trial t's randomness is derived from the master seed and t alone, and
+one labelled draw of the non-edges serves all its grid points, so one
+trial's graphs at the grid points are nested and a sweep is a pure
 function of its config: reruns reproduce the CSV byte for byte.  A
 base-graph family that ignores its seed (SEED_FREE_GENERATORS) is built
 once per sweep and shared by every trial, together with its memoised
@@ -14,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -163,9 +164,15 @@ class SweepConfig:
             (not isinstance(v, int)) or v < 0 for v in grid
         ):
             raise ValueError("uniform-model grid must hold nonnegative integers")
-        if self.model == "bernoulli" and any(not (0 <= v <= 1) for v in grid):
-            raise ValueError("bernoulli-model grid values must lie in [0, 1]")
+        # another number type would not survive the JSON round trip
+        if self.model == "bernoulli" and any(
+            not isinstance(v, (int, float)) or not 0 <= v <= 1 for v in grid
+        ):
+            raise ValueError(
+                f"bernoulli-model grid must hold ints or floats in [0, 1], got {grid}")
         object.__setattr__(self, "grid", grid)
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.generator.get("name") not in GENERATORS:
@@ -213,7 +220,7 @@ class SweepConfig:
             generator=doc["generator"],
             model=doc["model"],
             grid=tuple(doc["grid"]),
-            trials=int(doc["trials"]),
+            trials=doc["trials"],
             property=doc["property"],
             master_seed=seed,
             output_path=doc.get("output_path"),
@@ -297,14 +304,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     Trial t draws its base graph (unless the family is seed-free) and its
     edge randomness from master_seed.derive(t), the same for every grid
-    point.  Nested augmentation makes the trial's graphs grow along the
-    grid: the uniform model's m added edges are the first m of one
-    random order, and the Bernoulli model's edges at p are a subset of
-    those at any larger p.  The property is monotone, so a bisection
-    over the feasible grid points finds the first point at which it has
-    flipped to its far side, and that index decides every point.  A
-    uniform m above the base's non-edge count is an infeasible failure;
-    those points form a suffix of the grid.
+    point.  Its one augment call, at the largest feasible grid value,
+    lists the added pairs in label order, and the graph at m (or p) adds
+    the first m of them (or those with labels below p).  The property is
+    monotone, so a bisection over the feasible grid points finds the
+    first point at which it has flipped to its far side, and that index
+    decides every point.  A uniform m above the base's non-edge count is
+    an infeasible failure; those points form a suffix of the grid.
 
     trial_timeout_s times one trial: its base draw (a seed-free base is
     built once, before the first trial) and its bisection.  A trial over
@@ -315,7 +321,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     gen_params = config.generator.get("params", {})
     prop_params = config.property.get("params", {})
     grid = config.grid
-    augment = augment_uniform if config.model == "uniform" else augment_bernoulli
+    uniform = config.model == "uniform"
+    augment = augment_uniform if uniform else augment_bernoulli
     far = direction > 0  # the property's value once it has flipped
     started = time.perf_counter()
     shared = gen(gen_params, None) if name in SEED_FREE_GENERATORS else None
@@ -328,13 +335,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         start = time.perf_counter()
         base = shared if shared is not None else gen(gen_params, seed.stream(0))
         feasible = len(grid)
-        if config.model == "uniform":
+        if uniform:
             feasible = bisect_right(grid, base.n * (base.n - 1) // 2 - base.edge_count)
         lo, hit = 0, feasible
+        if feasible:
+            aug = augment(base, grid[feasible - 1], seed.stream(1))
         while lo < hit:
             mid = (lo + hit) // 2
-            aug = augment(base, grid[mid], seed.stream(1))
-            if bool(prop(aug.graph, prop_params)) == far:
+            k = grid[mid] if uniform else bisect_left(aug.labels, grid[mid])
+            if bool(prop(base.with_edges(aug.added[:k]), prop_params)) == far:
                 hit = mid
             else:
                 lo = mid + 1

@@ -4,12 +4,9 @@ These deliberately share no code with the package implementations:
 cliques by subset scan, chromatic number by independent-set cover DP,
 vertex connectivity by separator enumeration, diameter by
 Floyd-Warshall, density by full subset enumeration, and components by
-a plain neighbor-list BFS.  The uniform m-subset draw is kept here in
-its original form, one scalar rng.integers call per Fisher-Yates step,
-as the reference stream for the vectorised draw in sprinkle.augment.
-Likewise the k-connectivity checker's former engine, Dinic max-flow on
-an explicitly built vertex-split network, is kept as the reference for
-its verdicts and witnesses.
+a plain neighbor-list BFS.  The k-connectivity checker's former engine,
+Dinic max-flow on an explicitly built vertex-split network, is kept as
+the reference for its verdicts and witnesses.
 
 For the sweep harness there are two references.  full_grid_sweep checks
 every (grid, trial) cell on its own, through the package's own
@@ -274,17 +271,6 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
-
-
-def scalar_fisher_yates(pool: list, m: int, seed) -> tuple:
-    """First m items of a partial Fisher-Yates shuffle of pool, drawing
-    each swap position with its own rng.integers(i, len(pool)) call."""
-    rng = seed.generator()
-    arr = list(pool)
-    for i in range(m):
-        j = int(rng.integers(i, len(arr)))
-        arr[i], arr[j] = arr[j], arr[i]
-    return tuple(arr[:m])
 
 
 def full_grid_sweep(config) -> list[tuple[int, int]]:

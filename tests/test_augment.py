@@ -1,11 +1,11 @@
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import scalar_fisher_yates
 from sprinkle import (
     Graph,
     SeedSpec,
@@ -13,6 +13,7 @@ from sprinkle import (
     augment_uniform,
     complete_graph,
     contains_kr,
+    cycle_graph,
     gnm,
     is_k_connected,
     non_edges,
@@ -23,7 +24,7 @@ from sprinkle import (
 def test_uniform_zero_on_complete():
     k4 = complete_graph(4)
     res = augment_uniform(k4, 0, SeedSpec(3))
-    assert res.graph == k4 and res.added == () and res.base_edge_count == 6
+    assert res.graph == k4 and res.added == () and res.base.edge_count == 6
 
 
 def test_uniform_all_non_edges_forced():
@@ -58,7 +59,7 @@ def test_uniform_result_invariants():
     base = set(g.edges())
     assert len(set(res.added)) == len(res.added) == 7
     assert not (set(res.added) & base)
-    assert res.graph.edge_count == res.base_edge_count + 7
+    assert res.graph.edge_count == res.base.edge_count + 7
 
 
 def test_uniform_determinism_and_seed_sensitivity():
@@ -68,18 +69,6 @@ def test_uniform_determinism_and_seed_sensitivity():
     c = augment_uniform(g, 9, SeedSpec(5))
     assert a.added == b.added
     assert a.added != c.added
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2**32), st.data())
-def test_uniform_draw_matches_scalar_fisher_yates(n, seed, data):
-    # the one-call draw must give the old per-step stream: same edges,
-    # in the same order, at m=0, at m=len(pool) and in between
-    g = gnm(n, n * (n - 1) // 4, SeedSpec(seed))
-    pool = non_edges(g)
-    for m in (0, len(pool), data.draw(st.integers(0, len(pool)))):
-        res = augment_uniform(g, m, SeedSpec(seed, 3))
-        assert res.added == scalar_fisher_yates(pool, m, SeedSpec(seed, 3))
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,14 +91,53 @@ def test_augmentation_is_nested_in_m_and_p(n, seed, data):
     assert list(fewer) == [e for e in more if e in kept]
 
 
-@pytest.mark.parametrize("bound", [2**32 + 5, 2**40])
-def test_vectorised_draw_stream_for_bounds_past_32_bits(bound):
-    # numpy switches to its 64-bit path above 2**32; the array-bounds
-    # call must still match one scalar call per position there
-    m = 50
-    a = SeedSpec(8).generator().integers(np.arange(m), bound).tolist()
-    rng = SeedSpec(8).generator()
-    assert a == [int(rng.integers(i, bound)) for i in range(m)]
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**32), st.floats(0, 1), st.data())
+def test_both_models_read_one_label_draw(n, seed, p, data):
+    # the pool pair at position i has the label U[i]; the Bernoulli model
+    # keeps the pairs with U[i] < p, the plain per-pair draw, and the
+    # uniform model the m smallest, both listed in (label, position)
+    # order with their labels alongside
+    g = gnm(n, data.draw(st.integers(0, n * (n - 1) // 2)), SeedSpec(seed))
+    pool = non_edges(g)
+    s = SeedSpec(seed, 2)
+    u = s.generator().random(len(pool))
+    order = sorted(range(len(pool)), key=lambda i: (u[i], i))
+    bern = augment_bernoulli(g, p, s)
+    assert list(bern.added) == [pool[i] for i in order if u[i] < p]
+    assert np.array_equal(bern.labels, np.sort(u[u < p]))
+    m = data.draw(st.integers(0, len(pool)))
+    uni = augment_uniform(g, m, s)
+    assert list(uni.added) == [pool[i] for i in order[:m]]
+    assert np.array_equal(uni.labels, u[order[:m]])
+    assert uni.graph == g.with_edges(uni.added)
+
+
+class RepeatedLabels:
+    """Seed stand-in whose draw repeats labels: a tie has probability
+    about N^2 / 2^53 under a real seed, so tie-breaking needs one."""
+
+    def __init__(self, labels):
+        self.labels = np.array(labels)
+
+    def generator(self):
+        return self
+
+    def random(self, size):
+        assert size == len(self.labels)
+        return self.labels
+
+
+def test_tied_labels_are_ordered_by_position():
+    g = Graph(10, [])
+    pool = non_edges(g)
+    labels = [(7 * i % 5) / 8 for i in range(len(pool))]
+    order = sorted(range(len(pool)), key=lambda i: (labels[i], i))
+    seed = RepeatedLabels(labels)
+    for m in (0, 1, 9, 10, 30, len(pool)):
+        assert list(augment_uniform(g, m, seed).added) == [pool[i] for i in order[:m]]
+    below = [pool[i] for i in order if labels[i] < 0.3]
+    assert list(augment_bernoulli(g, 0.3, seed).added) == below
 
 
 def test_uniform_choice_is_uniform_chi_squared():
@@ -128,6 +156,25 @@ def test_uniform_choice_is_uniform_chi_squared():
     expected = trials / len(pool)
     chi2 = sum((counts[e] - expected) ** 2 / expected for e in pool)
     assert chi2 < 13.816, dict(counts)
+
+
+def test_uniform_pair_is_uniform_chi_squared():
+    # the 5-cycle has 5 non-edges, so 10 possible pairs; over many seeds
+    # the m = 2 draw must be uniform across them (chi-squared, df=9,
+    # 0.001 level -> critical value 27.877)
+    g = cycle_graph(5)
+    pool = non_edges(g)
+    assert len(pool) == 5
+    counts = Counter()
+    trials = 20000
+    master = SeedSpec(321)
+    for i in range(trials):
+        counts[frozenset(augment_uniform(g, 2, master.derive(i)).added)] += 1
+    pairs = [frozenset(c) for c in combinations(pool, 2)]
+    assert set(counts) <= set(pairs)
+    expected = trials / len(pairs)
+    chi2 = sum((counts[c] - expected) ** 2 / expected for c in pairs)
+    assert chi2 < 27.877, dict(counts)
 
 
 def test_bernoulli_extremes():

@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -93,15 +95,15 @@ def test_sweep_csv_golden():
         (dict(generator={"name": "two_cliques", "params": {"n": 12}},
               grid=(0, 6, 12, 20, 30), trials=30, master_seed=SeedSpec(9),
               property={"name": "diameter_le", "params": {"t": 2}}),
-         "da84c972aa0273d267ece55063c7bed72983aa5ef63bf41b0217b5fa8fe1f3b8"),
+         "c9283acd304cacfde40915b7efb12b2554c2af5ef64af03d7ca31fcd873ce95a"),
         (dict(generator={"name": "complete_multipartite", "params": {"parts": [3, 3, 3]}},
               grid=(0, 1, 2, 4), trials=30, master_seed=SeedSpec(5),
               property={"name": "contains_kr", "params": {"r": 5}}),
-         "b1bce33f25eb562c61f28afbce70d9a77f482540eb85ae90eb9a7b71f5af1e0f"),
+         "811cc2dcb182320d735b0f50bb6013124711ecb57358355444f48811f78dccf8"),
         (dict(generator={"name": "disjoint_cliques", "params": {"n": 12, "clique_size": 4}},
               grid=(0, 4, 10, 20), trials=30, master_seed=SeedSpec(6),
               property={"name": "k_connected", "params": {"k": 2}}),
-         "d9e237ae88575b7f08deb201370800b31ad975adaaf5351fbcf3b642f1606585"),
+         "e4af97f942f1c620f7b185618c66a854d5e6ebb11617ac2fac9cc055a8b7c9f0"),
         (dict(generator={"name": "blocked_gnp", "params": {"n": 16, "d": "1/4"}},
               model="bernoulli", grid=(0.0, 0.05, 0.2), trials=30, master_seed=SeedSpec(7),
               property={"name": "diameter_le", "params": {"t": 3}}),
@@ -109,7 +111,7 @@ def test_sweep_csv_golden():
         (dict(generator={"name": "gnm", "params": {"n": 20, "M": 30}},
               grid=(0, 5, 20), trials=30, master_seed=SeedSpec(8),
               property={"name": "diameter_ge", "params": {"t": 4}}),
-         "fa3eb016d4275ab7d1d501c8bffba3fd96410df6925ebcea99de16dd7150a5fd"),
+         "b62db0886415a35dc32cf383ea33bf9b8ece2e912a2dc34f305179700dea53f8"),
     ]
     for overrides, digest in cases:
         csv = run_sweep(make_config(**overrides)).to_csv()
@@ -166,6 +168,30 @@ def test_base_built_once_per_sweep_only_when_seed_free(monkeypatch, name, model,
     assert len(seen) == calls
     assert sweep_mod.GENERATORS[name] is gen
     assert res.to_csv() == run_sweep(cfg).to_csv()
+
+
+@pytest.mark.parametrize("model,grid,drawn", [
+    ("uniform", (0, 2, 6, 12), [12]),
+    ("uniform", (4, 40), [4]),  # two_cliques(12) has 36 non-edges
+    ("uniform", (37, 40), []),  # no point is feasible
+    ("bernoulli", (0.0, 0.3, 1.0), [1.0]),
+])
+def test_sweep_draws_once_per_trial(monkeypatch, model, grid, drawn):
+    # every probe of a trial's bisection reads a prefix of one draw, made
+    # at the largest feasible grid value
+    seen = []
+
+    def counting(fn):
+        def counted(h, value, seed):
+            seen.append(value)
+            return fn(h, value, seed)
+        return counted
+
+    for name in ("augment_uniform", "augment_bernoulli"):
+        monkeypatch.setattr(sweep_mod, name, counting(getattr(sweep_mod, name)))
+    res = run_sweep(make_config(model=model, grid=grid, trials=5))
+    assert seen == drawn * 5
+    assert res.points[-1].infeasible == (5 if grid[-1] == 40 else 0)
 
 
 # the sweep decides a trial's whole grid from one bisection; these pin it
@@ -342,6 +368,28 @@ def test_config_validation():
     for model in ("uniform", "bernoulli"):
         with pytest.raises(ValueError, match="booleans"):
             make_config(model=model, grid=(False, True))
+    # a value JSON cannot encode, or would decode as another type, would
+    # break config_hash() or the round trip
+    for grid, shown in [((Fraction(1, 4), Fraction(1, 2)), "Fraction"),
+                        ((np.float32(0.25), np.float32(0.5)), "0.25")]:
+        with pytest.raises(ValueError, match=shown):
+            make_config(model="bernoulli", grid=grid)
+    for trials, shown in [(True, "True"), (2.7, "2.7"), ("5", "'5'")]:
+        with pytest.raises(ValueError, match=shown):
+            make_config(trials=trials)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    dict(model="bernoulli", grid=(0, 0.25, 1)),
+    dict(model="bernoulli", grid=(np.float64(0.1), np.float64(0.5))),
+    dict(generator={"name": "blocked_gnp", "params": {"n": 16, "d": Fraction(1, 4)}},
+         trial_timeout_s=2.5),
+])
+def test_config_hash_survives_json_roundtrip(overrides):
+    cfg = make_config(**overrides)
+    doc = json.loads(json.dumps(cfg.to_json_dict()))
+    assert SweepConfig.from_json_dict(doc).config_hash() == cfg.config_hash()
 
 
 def test_config_json_roundtrip_rejects_unknown_keys():
