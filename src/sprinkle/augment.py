@@ -41,11 +41,7 @@ def _labelled(h: Graph, seed: SeedSpec, picked, limit=None) -> AugmentResult:
     pool = non_edges(h)
     labels = seed.generator().random(len(pool))
     keep = picked(labels)
-    kept = labels[keep]
-    order = np.argsort(kept)
-    if (np.diff(kept[order]) == 0).any():  # a tie: break it by position
-        order = np.argsort(kept, kind="stable")  # several times slower
-    keep = keep[order][:limit]
+    keep = keep[np.argsort(labels[keep], kind="stable")][:limit]
     return AugmentResult(h, tuple([pool[i] for i in keep.tolist()]), labels[keep], seed)
 
 
