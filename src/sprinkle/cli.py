@@ -23,6 +23,7 @@ from .checkers import (
     contains_kr,
     count_kr,
     diameter,
+    diameter_at_most,
     is_k_connected,
     max_clique,
     max_subgraph_density,
@@ -130,11 +131,16 @@ def cmd_check(args) -> int:
     spec = args.property
     name, _, arg = spec.partition(":")
     doc: dict = {"property": spec, "n": g.n, "edges": g.edge_count}
+    if arg and name in ("kappa", "chi", "omega", "density"):
+        raise SystemExit(f"property {name!r} takes no argument, got {spec!r}")
     if name == "clique":
         verdict = contains_kr(g, int(arg))
         doc.update(holds=verdict.holds, witness=_jsonable(verdict.witness))
     elif name == "cliquecount":
         doc.update(value=count_kr(g, int(arg)))
+    elif name == "diam" and arg:
+        verdict = diameter_at_most(g, int(arg))
+        doc.update(holds=verdict.holds, witness=_jsonable(verdict.witness))
     elif name == "diam":
         doc.update(value=_jsonable(diameter(g)))
     elif name == "kconn":
@@ -155,7 +161,7 @@ def cmd_check(args) -> int:
         doc.update(value=_jsonable(dm.value), witness=list(dm.witness_set))
     else:
         raise SystemExit(
-            f"unknown property {spec!r}; use clique:R, cliquecount:R, diam, "
+            f"unknown property {spec!r}; use clique:R, cliquecount:R, diam[:T], "
             "kconn:K, kappa, chi, omega, or density"
         )
     _emit(doc)
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--property",
         required=True,
-        help="clique:R | cliquecount:R | diam | kconn:K | kappa | chi | omega | density",
+        help="clique:R | cliquecount:R | diam[:T] | kconn:K | kappa | chi | omega | density",
     )
     p.add_argument("infile")
     p.set_defaults(func=cmd_check)

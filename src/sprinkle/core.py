@@ -68,6 +68,14 @@ class Graph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         self._freeze(_or_edges([0] * n, edges))
 
+    @classmethod
+    def _from_masks(cls, masks: list[int]) -> "Graph":
+        """Graph with masks as its adjacency, unchecked: the caller
+        vouches that they are symmetric with no self-loops."""
+        g = cls.__new__(cls)
+        g._freeze(masks)
+        return g
+
     def _freeze(self, masks: list[int]) -> None:
         self.n = len(masks)
         self._masks = tuple(masks)
@@ -103,9 +111,7 @@ class Graph:
         The new pairs are validated like the constructor's and OR-ed
         into a copy of this graph's masks.
         """
-        g = Graph.__new__(Graph)
-        g._freeze(_or_edges(list(self._masks), extra))
-        return g
+        return Graph._from_masks(_or_edges(list(self._masks), extra))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -186,17 +192,17 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     return Graph(len(ids), edges)
 
 
-def non_edges(g: Graph) -> list[Edge]:
-    """All unordered pairs not in E, in lexicographic order, as a fresh
-    list the caller may reorder; the pairs are kept on g after the first
-    call."""
+def non_edges(g: Graph) -> tuple[Edge, ...]:
+    """All unordered pairs not in E, in lexicographic order.  The tuple
+    is built on the first call and kept on g, so later calls return the
+    same object."""
     pairs = g._non_edges
     if pairs is None:
         full = (1 << g.n) - 1
         pairs = g._non_edges = tuple([
             (u, v) for u in range(g.n)
             for v in _bits((full & ~g.adjacency_mask(u)) >> (u + 1) << (u + 1))])
-    return list(pairs)
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,22 @@ def nearly_equal_parts(n: int, r0: int) -> list[int]:
     return [base + 1] * extra + [base] * (r0 - extra)
 
 
+def _blocks(sizes: list[int], across: bool) -> Graph:
+    """Vertices grouped into consecutive blocks of the given sizes, with
+    an edge iff the endpoints lie in different blocks (across) or in the
+    same one (not across).  Each vertex's mask is its block's mask, or
+    that mask's complement, with its own bit cleared."""
+    full = (1 << sum(sizes)) - 1
+    masks = []
+    start = 0
+    for size in sizes:
+        block = ((1 << size) - 1) << start
+        nbrs = full ^ block if across else block
+        masks.extend(nbrs & ~(1 << v) for v in range(start, start + size))
+        start += size
+    return Graph._from_masks(masks)
+
+
 def complete_multipartite(part_sizes: list[int]) -> Graph:
     """Vertices grouped into consecutive blocks, edge iff endpoints lie
     in different blocks."""
@@ -34,19 +50,7 @@ def complete_multipartite(part_sizes: list[int]) -> Graph:
         raise ValueError("part list must be nonempty")
     if any(s < 1 for s in part_sizes):
         raise ValueError(f"part sizes must be positive, got {part_sizes}")
-    n = sum(part_sizes)
-    block = []
-    b = 0
-    for size in part_sizes:
-        block.extend([b] * size)
-        b += 1
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if block[u] != block[v]
-    ]
-    return Graph(n, edges)
+    return _blocks(part_sizes, across=True)
 
 
 def complete_graph(n: int) -> Graph:
@@ -79,24 +83,14 @@ def disjoint_cliques(n: int, clique_size: int) -> Graph:
     sizes = [clique_size] * t
     for i in range(n - t * clique_size):
         sizes[i % t] += 1
-    edges = []
-    start = 0
-    for size in sizes:
-        for u in range(start, start + size):
-            for v in range(u + 1, start + size):
-                edges.append((u, v))
-        start += size
-    return Graph(n, edges)
+    return _blocks(sizes, across=False)
 
 
 def two_cliques(n: int) -> Graph:
     """Disjoint K_floor(n/2) and K_ceil(n/2), no cross edges."""
     if n < 2:
         raise ValueError("need n >= 2")
-    half = n // 2
-    edges = [(u, v) for u in range(half) for v in range(u + 1, half)]
-    edges += [(u, v) for u in range(half, n) for v in range(u + 1, n)]
-    return Graph(n, edges)
+    return _blocks([n // 2, n - n // 2], across=False)
 
 
 def gnm(n: int, m: int, seed: SeedSpec) -> Graph:

@@ -4,9 +4,10 @@ These deliberately share no code with the package implementations:
 cliques by subset scan, chromatic number by independent-set cover DP,
 vertex connectivity by separator enumeration, diameter by
 Floyd-Warshall, density by full subset enumeration, and components by
-a plain neighbor-list BFS.  The k-connectivity checker's former engine,
-Dinic max-flow on an explicitly built vertex-split network, is kept as
-the reference for its verdicts and witnesses.
+a plain neighbor-list BFS.  Two checkers' former engines are kept as
+the references for their verdicts and witnesses: for k-connectivity,
+Dinic max-flow on an explicitly built vertex-split network, and for
+diameter_at_most, a cut-off bitmask BFS from every vertex in id order.
 
 For the sweep harness there are two references.  full_grid_sweep checks
 every (grid, trial) cell on its own, through the package's own
@@ -241,6 +242,36 @@ def brute_diameter(g: Graph):
                 if alt < du[v]:
                     du[v] = alt
     return max(max(row) for row in dist)
+
+
+def bfs_diameter_at_most(g: Graph, t: int) -> tuple:
+    """(holds, witness, reason) of sprinkle's diameter_at_most, computed
+    by a layered bitmask BFS cut off at depth t from every vertex in id
+    order: the witness is the first vertex whose t-ball is not all of V,
+    paired with the smallest vertex outside that ball."""
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        visited = frontier = 1 << v
+        for _ in range(t):
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= masks[low.bit_length() - 1]
+                m ^= low
+            frontier = nxt & (full ^ visited)
+            if not frontier:
+                break
+            visited |= frontier
+        if visited != full:
+            far = full & ~visited
+            return False, (v, (far & -far).bit_length() - 1), ""
+    return True, None, ""
 
 
 def brute_max_density(g: Graph) -> Fraction:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     bfs_components,
+    bfs_diameter_at_most,
     brute_chromatic_number,
     brute_clique_number,
     brute_contains_kr,
@@ -29,6 +30,7 @@ from oracles import (
 from sprinkle import (
     Graph,
     SeedSpec,
+    blocked_gnp,
     chromatic_number,
     clique_number,
     complete_graph,
@@ -47,10 +49,12 @@ from sprinkle import (
     max_subgraph_density,
     minimum_coloring,
     non_edges,
+    path_graph,
     two_cliques,
     vertex_connectivity,
 )
 from sprinkle.checkers.connectivity import _components, _disjoint_paths
+from sprinkle.checkers.distance import _screened_sources
 from sprinkle.core import _bits
 
 
@@ -170,6 +174,69 @@ def test_diameter_at_most_witness_pair():
     assert not v.holds
     a, b = v.witness
     assert (a < 4) != (b < 4)  # antipodal pair straddles the cliques
+
+
+@st.composite
+def diameter_cases(draw):
+    """Graphs from the families the sweeps check, each plus up to 2n
+    random edges: G(n, p), two cliques, blocked G(n, p), disjoint
+    cliques (disconnected without the extra edges) and complete
+    multipartite graphs, down to n = 1."""
+    kind = draw(st.sampled_from(
+        ["gnp", "two_cliques", "blocked_gnp", "disjoint_cliques", "multipartite"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "gnp":
+        g = random_graph(rng, draw(st.integers(1, 24)), draw(st.floats(0, 1)))
+    elif kind == "two_cliques":
+        g = two_cliques(draw(st.integers(2, 30)))
+    elif kind == "blocked_gnp":
+        g = blocked_gnp(draw(st.integers(16, 40)), Fraction(1, 10), SeedSpec(rng.randrange(2**32)))
+    elif kind == "disjoint_cliques":
+        n = draw(st.integers(1, 30))
+        g = disjoint_cliques(n, draw(st.integers(1, n)))
+    else:
+        g = complete_multipartite(draw(st.lists(st.integers(1, 6), min_size=1, max_size=6)))
+    pool = non_edges(g)
+    extra = draw(st.integers(0, 2 * g.n))
+    return g.with_edges(rng.sample(pool, min(extra, len(pool))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(diameter_cases())
+def test_diameter_at_most_matches_per_source_bfs(g):
+    for t in range(7):
+        v = diameter_at_most(g, t)
+        assert (v.holds, v.witness, v.reason) == bfs_diameter_at_most(g, t), t
+
+
+def test_diameter_at_most_small_t_and_one_vertex():
+    one = Graph(1, [])
+    for t in range(4):
+        assert diameter_at_most(one, t).holds
+    assert diameter_at_most(complete_graph(5), 0).witness == (0, 1)
+    assert diameter_at_most(complete_graph(5), 1).holds
+    k4_minus = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert diameter_at_most(k4_minus, 1).witness == (2, 3)
+    with pytest.raises(ValueError):
+        diameter_at_most(one, -1)
+
+
+def test_degree_screen_boundaries():
+    # P4: ends 0 and 3 are at distance 3 with degree sum 2 = n - 2, the
+    # largest sum a pair at distance > 2 can have, so both stay sources
+    p4 = path_graph(4)
+    masks = [p4.adjacency_mask(v) for v in range(4)]
+    closed = [m | 1 << v for v, m in enumerate(masks)]
+    assert list(_screened_sources(masks, closed)) == [0, 3]
+    assert diameter_at_most(p4, 2).witness == (0, 3)
+    assert diameter_at_most(p4, 3).holds
+    # 0 and 1 are non-adjacent with degree sum 4 = n - 1, which forces
+    # the common neighbour 3; no pair is left for the screen to keep
+    g = Graph(5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
+    masks = [g.adjacency_mask(v) for v in range(5)]
+    closed = [m | 1 << v for v, m in enumerate(masks)]
+    assert list(_screened_sources(masks, closed)) == []
+    assert diameter(g) == 2 and diameter_at_most(g, 2).holds
 
 
 # ---------------------------------------------------------------------------

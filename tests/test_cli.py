@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sprinkle import read_edge_list, two_cliques, write_edge_list
+from sprinkle import path_graph, read_edge_list, two_cliques, write_edge_list
 from sprinkle.cli import main
 
 
@@ -93,6 +93,30 @@ def test_check_properties(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "check", "--property", "cliquecount:3", str(src))
     assert json.loads(out)["value"] == 8
+
+
+def test_check_diameter_bound(tmp_path, capsys):
+    src = tmp_path / "p4.txt"
+    write_edge_list(path_graph(4), src)
+    code, out, _ = run_cli(capsys, "check", "--property", "diam:2", str(src))
+    doc = json.loads(out)
+    assert code == 0 and doc["holds"] is False and doc["witness"] == [0, 3]
+    assert "value" not in doc
+    code, out, _ = run_cli(capsys, "check", "--property", "diam:3", str(src))
+    doc = json.loads(out)
+    assert code == 0 and doc["holds"] is True and doc["witness"] is None
+    code, out, _ = run_cli(capsys, "check", "--property", "diam", str(src))
+    assert code == 0 and json.loads(out)["value"] == 3
+    code, _, err = run_cli(capsys, "check", "--property", "diam:-1", str(src))
+    assert code == 2 and "nonnegative" in err
+
+
+@pytest.mark.parametrize("spec", ["kappa:9", "chi:3", "omega:2", "density:1"])
+def test_check_rejects_an_argument_to_a_plain_property(tmp_path, capsys, spec):
+    src = tmp_path / "p4.txt"
+    write_edge_list(path_graph(4), src)
+    with pytest.raises(SystemExit, match="takes no argument"):
+        main(["check", "--property", spec, str(src)])
 
 
 def test_check_unknown_property(tmp_path, capsys):

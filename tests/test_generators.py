@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sprinkle import (
     Graph,
@@ -223,3 +224,31 @@ def test_generator_outputs_pass_graph_invariants():
     for g in gs:
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
         assert len(non_edges(g)) + g.edge_count == g.n * (g.n - 1) // 2
+
+
+def _block_edges(sizes, across):
+    """The block graph's edge list, pair by pair."""
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    return [(u, v) for u, v in itertools.combinations(range(len(block)), 2)
+            if (block[u] != block[v]) == across]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=7), st.integers(2, 40), st.data())
+def test_block_generators_match_edge_list_builds(sizes, n, data):
+    c = data.draw(st.integers(1, n))
+    cliques = [c] * (n // c)  # leftovers go round-robin to the first cliques
+    for i in range(n % c):
+        cliques[i % len(cliques)] += 1
+    cases = [
+        (complete_multipartite(sizes), Graph(sum(sizes), _block_edges(sizes, True))),
+        (complete_graph(n), Graph(n, _block_edges([1] * n, True))),
+        (two_cliques(n), Graph(n, _block_edges([n // 2, n - n // 2], False))),
+        (disjoint_cliques(n, c), Graph(n, _block_edges(cliques, False))),
+    ]
+    for g, want in cases:
+        assert g == want and g.edge_count == want.edge_count
+        for v in range(g.n):
+            mask = g.adjacency_mask(v)
+            assert not mask >> v & 1
+            assert all(g.adjacency_mask(u) >> v & 1 for u in g.neighbors(v))
