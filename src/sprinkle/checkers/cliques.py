@@ -5,12 +5,19 @@ All three work on integer-bitmask adjacency.  Maximum clique and
 fixed-size detection share one branch and bound with a greedy-coloring
 bound; the fixed-size question only raises its floor and stops at the
 first clique of size r, so it never pays for the full optimum.
+
+That search first splits the vertices into the components of the
+complement.  Every edge between two such co-components is present, so g
+is their join and its clique number is the sum of theirs.  On a complete
+multipartite base plus sparse random edges the co-components are the
+parts, and each is searched on its own sparse subgraph.
 """
 
 from __future__ import annotations
 
-from ..core import Graph, VertexSet
+from ..core import Graph, VertexSet, vertex_mask
 from ._verdict import PropertyVerdict
+from .connectivity import _components
 
 
 def _color_order(p: int, masks) -> list[tuple[int, int]]:
@@ -31,9 +38,10 @@ def _color_order(p: int, masks) -> list[tuple[int, int]]:
     return out
 
 
-def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:
-    """Branch and bound over the cliques of g with more than floor
-    vertices, bounded by a greedy coloring of the candidate set.
+def _branch_and_bound(masks, p: int, floor: int, stop: int) -> list[int]:
+    """Branch and bound over the cliques inside the vertex mask p with
+    more than floor vertices, bounded by a greedy coloring of the
+    candidate set.
 
     Returns the largest such clique it finds, stopping at the first one
     with stop vertices, or [] when none exists.  A node's need is how
@@ -41,7 +49,6 @@ def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:
     floor and the best so far; it is recomputed only when the best may
     have grown.
     """
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
     best: list[int] = []
     cur: list[int] = []
     bar = floor  # the size a clique must beat: max(len(best), floor)
@@ -72,8 +79,32 @@ def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:
             p ^= 1 << v
         return False
 
-    expand((1 << g.n) - 1, 0)
+    expand(p, 0)
     return best
+
+
+def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:
+    """The largest clique of g with more than floor vertices, stopping
+    at the first one with stop vertices, or [] when none exists.
+
+    With a connected complement this is one branch and bound over V.
+    Otherwise each co-component is searched in turn for a clique of at
+    most the stop vertices still missing, and the cliques are joined.
+    A co-component that returns fewer vertices than asked for has
+    returned its clique number, so the union is exact, and it never
+    holds more than stop vertices.
+    """
+    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    comps = _components([full ^ m ^ (1 << v) for v, m in enumerate(masks)], full)
+    if len(comps) <= 1:
+        return _branch_and_bound(masks, full, floor, stop)
+    found: list[int] = []
+    for comp in comps:
+        found += _branch_and_bound(masks, vertex_mask(comp), 0, stop - len(found))
+        if len(found) >= stop:
+            break
+    return found if len(found) > floor else []
 
 
 def max_clique(g: Graph) -> VertexSet:

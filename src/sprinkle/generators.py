@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .augment import augment_uniform
 from .core import Graph, min_degree
 from .core import density_param
@@ -116,15 +118,18 @@ def blocked_gnp(n: int, d, seed: SeedSpec, max_attempts: int = 100) -> Graph:
         raise ValueError(f"p = 2d + n^(-1/3) = {p:.4f} exceeds 1; lower d or raise n")
     threshold = -((-d.numerator * n) // d.denominator)
     half = n // 2
-    blocks = [(0, half), (half, n)]
+    # each block's pairs in lexicographic order, one uniform draw per pair
+    blocks = [(lo, hi - lo, np.triu_indices(hi - lo, 1)) for lo, hi in ((0, half), (half, n))]
     for attempt in range(max_attempts):
         rng = seed.derive(attempt).generator()
-        edges = []
-        for lo, hi in blocks:
-            pairs = [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
-            keep = rng.random(len(pairs)) < p
-            edges.extend(pair for pair, k in zip(pairs, keep) if k)
-        g = Graph(n, edges)
+        masks = []
+        for lo, size, (rows, cols) in blocks:
+            keep = np.zeros((size, size), dtype=bool)
+            keep[rows, cols] = rng.random(len(rows)) < p
+            keep |= keep.T
+            packed = np.packbits(keep, axis=1, bitorder="little")
+            masks.extend(int.from_bytes(row.tobytes(), "little") << lo for row in packed)
+        g = Graph._from_masks(masks)
         if min_degree(g) >= threshold:
             return g
     raise RuntimeError(

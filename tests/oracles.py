@@ -4,10 +4,12 @@ These deliberately share no code with the package implementations:
 cliques by subset scan, chromatic number by independent-set cover DP,
 vertex connectivity by separator enumeration, diameter by
 Floyd-Warshall, density by full subset enumeration, and components by
-a plain neighbor-list BFS.  Two checkers' former engines are kept as
+a plain neighbor-list BFS.  Three checkers' former engines are kept as
 the references for their verdicts and witnesses: for k-connectivity,
-Dinic max-flow on an explicitly built vertex-split network, and for
-diameter_at_most, a cut-off bitmask BFS from every vertex in id order.
+Dinic max-flow on an explicitly built vertex-split network; for
+diameter_at_most, a cut-off bitmask BFS from every vertex in id order;
+and for the clique search, one branch and bound rooted at all of V,
+without the split over co-components.
 
 For the sweep harness there are two references.  full_grid_sweep checks
 every (grid, trial) cell on its own, through the package's own
@@ -53,6 +55,58 @@ def brute_count_kr(g: Graph, r: int) -> int:
         for sub in combinations(range(g.n), r)
         if all(g.has_edge(u, v) for u, v in combinations(sub, 2))
     )
+
+
+def single_root_clique(g: Graph, floor: int, stop: int) -> list[int]:
+    """The largest clique of g with more than floor vertices, stopping
+    at the first one with stop vertices, or [] when none exists: one
+    branch and bound over all of V with a greedy-coloring bound."""
+    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    best: list[int] = []
+    cur: list[int] = []
+    bar = floor
+
+    def color_order(p: int) -> list[tuple[int, int]]:
+        out = []
+        color = 0
+        while p:
+            color += 1
+            q = p
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                out.append((v, color))
+                p ^= low
+                q = (q ^ low) & ~masks[v]
+        return out
+
+    def expand(p: int, depth: int) -> bool:
+        nonlocal bar
+        need = bar - depth
+        if p.bit_count() <= need:
+            return False
+        for v, bound in reversed(color_order(p)):
+            if bound <= need:
+                return False
+            cur.append(v)
+            if depth + 1 >= stop:
+                best[:] = cur
+                return True
+            nxt = p & masks[v]
+            if nxt:
+                if expand(nxt, depth + 1):
+                    return True
+                need = bar - depth
+            elif need < 1:
+                best[:] = cur
+                bar = depth + 1
+                need = 1
+            cur.pop()
+            p ^= 1 << v
+        return False
+
+    expand((1 << g.n) - 1, 0)
+    return best
 
 
 def brute_chromatic_number(g: Graph) -> int:

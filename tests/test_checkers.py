@@ -24,6 +24,7 @@ from oracles import (
     brute_max_density,
     brute_vertex_connectivity,
     random_graph,
+    single_root_clique,
     split_flow_is_k_connected,
     split_flow_reach,
 )
@@ -69,6 +70,23 @@ def _assert_clique(g, vertices):
     assert all(g.has_edge(u, v) for u, v in itertools.combinations(vertices, 2))
 
 
+@st.composite
+def gnp_graphs(draw, max_n=40):
+    n = draw(st.integers(1, max_n))
+    p = draw(st.floats(0.05, 0.95))
+    return random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+
+
+@st.composite
+def cliques_plus_edges(draw, max_n=40):
+    # the thm6 shape: disjoint cliques joined by a few random edges
+    n = draw(st.integers(2, max_n))
+    h = disjoint_cliques(n, draw(st.integers(1, max(1, n // 2))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    extra = [tuple(rng.sample(range(n), 2)) for _ in range(draw(st.integers(0, 2 * n)))]
+    return h.with_edges(extra)
+
+
 # ---------------------------------------------------------------------------
 # cliques
 # ---------------------------------------------------------------------------
@@ -112,6 +130,78 @@ def test_contains_kr_agrees_with_brute():
         g = random_graph(rng, rng.randint(1, 9), rng.random())
         for r in range(1, 6):
             assert contains_kr(g, r).holds == brute_contains_kr(g, r)
+
+
+def _join(a, b):
+    """The join of a and b: b's vertices follow a's, and every pair
+    across the two is an edge."""
+    cross = [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
+    inner = [(a.n + u, a.n + v) for u, v in b.edges()]
+    return Graph(a.n + b.n, list(a.edges()) + inner + cross)
+
+
+def _assert_kr_witness(g, w, r):
+    assert w == tuple(sorted(w)) and len(set(w)) == r
+    _assert_clique(g, w)
+
+
+def test_kr_witness_has_r_vertices_when_co_components_overshoot():
+    # the complement is disconnected and the co-components' clique
+    # numbers sum past r, so the witness must stop at r vertices
+    def triangles(starts):
+        return [(a + i, a + j) for a in starts for i, j in ((0, 1), (0, 2), (1, 2))]
+
+    rng = random.Random(17)
+    graphs = [
+        complete_multipartite([3, 3, 3]).with_edges(triangles((0, 3, 6))),
+        complete_multipartite([4, 4, 4]).with_edges(triangles((0, 4, 8))),
+    ] + [_join(complete_graph(1), random_graph(rng, rng.randint(1, 12), rng.random()))
+         for _ in range(30)]
+    for g in graphs:
+        omega = brute_clique_number(g)
+        for r in range(1, omega + 1):
+            _assert_kr_witness(g, contains_kr(g, r).witness, r)
+        assert not contains_kr(g, omega + 1).holds
+        _assert_kr_witness(g, max_clique(g), omega)
+
+
+@st.composite
+def multipartite_plus_edges(draw):
+    # the thm2 shape: a complete multipartite base plus random in-part edges
+    h = complete_multipartite(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)))
+    q = draw(st.floats(0, 0.8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return h.with_edges([e for e in non_edges(h) if rng.random() < q])
+
+
+@st.composite
+def joined_to_gnp(draw):
+    return _join(complete_graph(draw(st.integers(1, 2))), draw(gnp_graphs(max_n=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    gnp_graphs(max_n=14),
+    multipartite_plus_edges(),
+    joined_to_gnp(),
+    st.sampled_from([Graph(0, []), Graph(1, [])]),
+))
+def test_clique_search_matches_single_root_oracle(g):
+    for r in range(1, g.n + 2):
+        v = contains_kr(g, r)
+        assert v.holds == (len(single_root_clique(g, r - 1, r)) == r), r
+        if v.holds:
+            _assert_kr_witness(g, v.witness, r)
+    omega = len(single_root_clique(g, 0, g.n))
+    if g.n:
+        assert clique_number(g) == omega
+        _assert_kr_witness(g, max_clique(g), omega)
+    colors = minimum_coloring(g)
+    assert all(colors[u] != colors[v] for u, v in g.edges())
+    chi = chromatic_number(g)
+    assert chi >= omega
+    if g.n <= 9:
+        assert chi == brute_chromatic_number(g)
 
 
 def test_count_kr_examples():
@@ -322,23 +412,6 @@ def test_k0_and_disconnected_conventions():
     assert is_k_connected(g, 0).holds
     v = is_k_connected(g, 1)
     assert not v.holds and v.witness == frozenset()
-
-
-@st.composite
-def gnp_graphs(draw, max_n=40):
-    n = draw(st.integers(1, max_n))
-    p = draw(st.floats(0.05, 0.95))
-    return random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
-
-
-@st.composite
-def cliques_plus_edges(draw, max_n=40):
-    # the thm6 shape: disjoint cliques joined by a few random edges
-    n = draw(st.integers(2, max_n))
-    h = disjoint_cliques(n, draw(st.integers(1, max(1, n // 2))))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    extra = [tuple(rng.sample(range(n), 2)) for _ in range(draw(st.integers(0, 2 * n)))]
-    return h.with_edges(extra)
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,6 +25,7 @@ from sprinkle import (
     two_cliques,
     vertex_connectivity,
 )
+from sprinkle.core import density_param
 
 
 def test_nearly_equal_parts_examples():
@@ -252,3 +253,55 @@ def test_block_generators_match_edge_list_builds(sizes, n, data):
             mask = g.adjacency_mask(v)
             assert not mask >> v & 1
             assert all(g.adjacency_mask(u) >> v & 1 for u in g.neighbors(v))
+
+
+def _blocked_gnp_edge_list(n, d, seed, max_attempts=100):
+    """blocked_gnp built pair by pair through the edge-list constructor,
+    with the number of draws it took: (graph, attempts)."""
+    d = density_param(d)
+    p = 2 * float(d) + n ** (-1 / 3)
+    if p > 1:
+        raise ValueError("p exceeds 1")
+    threshold = -((-d.numerator * n) // d.denominator)
+    half = n // 2
+    for attempt in range(max_attempts):
+        rng = seed.derive(attempt).generator()
+        edges = []
+        for lo, hi in ((0, half), (half, n)):
+            pairs = [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
+            keep = rng.random(len(pairs)) < p
+            edges.extend(pair for pair, k in zip(pairs, keep) if k)
+        g = Graph(n, edges)
+        if min_degree(g) >= threshold:
+            return g, attempt + 1
+    raise RuntimeError("no draw reached the minimum degree")
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (ValueError, RuntimeError) as e:
+        return type(e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 151), st.sampled_from(["0", "0.05", "0.1", "0.15", "0.2", "0.25"]),
+       st.integers(0, 2**32), st.integers(1, 4))
+def test_blocked_gnp_matches_edge_list_build(n, d, s, max_attempts):
+    got = _outcome(blocked_gnp, n, d, SeedSpec(s), max_attempts)
+    want = _outcome(_blocked_gnp_edge_list, n, d, SeedSpec(s), max_attempts)
+    if isinstance(want, tuple):
+        assert isinstance(got, Graph) and got == want[0]
+        assert got.edge_count == want[0].edge_count
+    else:
+        assert got is want
+
+
+def test_blocked_gnp_redraws_match_edge_list_build():
+    # at n=20, d=1/5 some first draws miss the minimum degree 4 and are redrawn
+    seen = set()
+    for s in range(40):
+        want, attempts = _blocked_gnp_edge_list(20, "0.2", SeedSpec(s))
+        assert blocked_gnp(20, "0.2", SeedSpec(s)) == want
+        seen.add(attempts)
+    assert max(seen) > 1
