@@ -7,6 +7,10 @@ the Bernoulli model every pair with a label below p, both listed in
 increasing (label, position) order.  So, as in the random graph
 process, one seed's edge sets are nested: its set at a smaller m (or p)
 is a prefix of its set at a larger one.
+
+The pool is read as core._pool's position arrays and the chosen pairs
+stay arrays (u, v) in label order; the tuple of pairs is built only
+when AugmentResult.added is read.
 """
 
 from __future__ import annotations
@@ -16,33 +20,40 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Edge, Graph, non_edges
+# non_edges stays resolvable here: perfbench/tracing.py wraps this name
+from .core import Edge, Graph, _pool, non_edges  # noqa: F401
 from .seeds import SeedSpec
 
 
 @dataclass(frozen=True, eq=False)
 class AugmentResult:
-    """The non-edges of base added in (label, position) order, with
-    labels[i] the label of added[i]; graph is built on first read."""
+    """The non-edges (u[i], v[i]) of base added in (label, position)
+    order, with labels[i] the label of pair i; added and graph are
+    built on first read."""
 
     base: Graph
-    added: tuple[Edge, ...]
+    u: np.ndarray
+    v: np.ndarray
     labels: np.ndarray
     seed: SeedSpec
 
     @cached_property
+    def added(self) -> tuple[Edge, ...]:
+        return tuple(zip(self.u.tolist(), self.v.tolist()))
+
+    @cached_property
     def graph(self) -> Graph:
-        return self.base.with_edges(self.added)
+        return self.base._with_pool_pairs(self.u, self.v)
 
 
 def _labelled(h: Graph, seed: SeedSpec, picked, limit=None) -> AugmentResult:
     """The first limit non-edges of h, in (label, position) order, among
     those at the positions picked(labels) returns in increasing order."""
-    pool = non_edges(h)
-    labels = seed.generator().random(len(pool))
+    u, v = _pool(h)
+    labels = seed.generator().random(len(u))
     keep = picked(labels)
     keep = keep[np.argsort(labels[keep], kind="stable")][:limit]
-    return AugmentResult(h, tuple([pool[i] for i in keep.tolist()]), labels[keep], seed)
+    return AugmentResult(h, u[keep], v[keep], labels[keep], seed)
 
 
 def augment_uniform(h: Graph, m: int, seed: SeedSpec) -> AugmentResult:

@@ -94,7 +94,7 @@ def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:
     returned its clique number, so the union is exact, and it never
     holds more than stop vertices.
     """
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    masks = g.adjacency_masks()
     full = (1 << g.n) - 1
     comps = _components([full ^ m ^ (1 << v) for v, m in enumerate(masks)], full)
     if len(comps) <= 1:
@@ -135,7 +135,7 @@ def count_kr(g: Graph, r: int) -> int:
     """Exact number of r-vertex cliques in g."""
     if r < 1:
         raise ValueError("r must be positive")
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    masks = g.adjacency_masks()
 
     def rec(p: int, need: int) -> int:
         if need == 0:

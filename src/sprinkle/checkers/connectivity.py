@@ -32,7 +32,7 @@ def _components(masks, alive: int) -> list[list[int]]:
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex sets of the components, each sorted, in order of their
     least vertex."""
-    return _components([g.adjacency_mask(v) for v in range(g.n)], (1 << g.n) - 1)
+    return _components(g.adjacency_masks(), (1 << g.n) - 1)
 
 
 def is_connected(g: Graph) -> bool:
@@ -162,7 +162,7 @@ def is_k_connected(g: Graph, k: int) -> PropertyVerdict:
         # whose members would have degree below that bound.
         return PropertyVerdict(True, reason="degree bound")
 
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    masks = g.adjacency_masks()
     for i in range(k):
         for j in range(i + 1, k):
             if g.has_edge(i, j):
@@ -197,7 +197,7 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     v0 = min(range(g.n), key=lambda v: (degrees[v], v))
     best = degrees[v0]
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    masks = g.adjacency_masks()
     nb = set(g.neighbors(v0))
     for u in range(g.n):
         if best == 0:

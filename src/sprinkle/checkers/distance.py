@@ -51,7 +51,7 @@ def diameter(g: Graph) -> int | float:
     when g is disconnected; 0 for the one-vertex graph."""
     if g.n == 0:
         raise ValueError("diameter undefined on the empty graph (n=0)")
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    masks = g.adjacency_masks()
     full = (1 << g.n) - 1
     worst = 0
     for v in range(g.n):
@@ -113,7 +113,7 @@ def diameter_at_most(g: Graph, t: int) -> PropertyVerdict:
         raise ValueError("diameter undefined on the empty graph (n=0)")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    masks = g.adjacency_masks()
     full = (1 << g.n) - 1
     closed = [m | 1 << v for v, m in enumerate(masks)]  # B_1(v) = N[v]
     if t < 2:

@@ -6,9 +6,11 @@ Adjacency is kept once, as one integer bitmask per vertex (bit u of
 vertex v's mask is set iff u ~ v): membership is a shift, set algebra
 for the clique and diameter checkers is one operation, and sorted
 neighbor tuples are read off the bits in increasing id order.
-The lexicographic non-edge list is computed on the first non_edges()
-call and kept on the graph, so a base graph shared by many trials
-builds its pool once.
+The non-edge pool is two position arrays (u, v), u < v, in
+lexicographic order, unpacked from the mask bytes by numpy on the first
+_pool() call and kept on the graph, so a base graph shared by many
+trials builds its pool once; the tuple of pairs non_edges() returns is
+built from those arrays only when asked for, and kept as well.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from fractions import Fraction
 from operator import index
 from pathlib import Path
 from typing import IO, Collection, Iterable, Sequence
+
+import numpy as np
 
 VertexSet = tuple[int, ...]
 Edge = tuple[int, int]
@@ -61,7 +65,7 @@ def _or_edges(masks: list[int], edges: Iterable[Sequence[int]]) -> list[int]:
 class Graph:
     """Undirected simple graph on vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "_masks", "_edge_count", "_non_edges")
+    __slots__ = ("n", "_masks", "_edge_count", "_pool", "_non_edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
@@ -69,17 +73,21 @@ class Graph:
         self._freeze(_or_edges([0] * n, edges))
 
     @classmethod
-    def _from_masks(cls, masks: list[int]) -> "Graph":
+    def _from_masks(cls, masks: list[int], edge_count: int | None = None) -> "Graph":
         """Graph with masks as its adjacency, unchecked: the caller
-        vouches that they are symmetric with no self-loops."""
+        vouches that they are symmetric with no self-loops, and that
+        edge_count, when given, is their edge count."""
         g = cls.__new__(cls)
-        g._freeze(masks)
+        g._freeze(masks, edge_count)
         return g
 
-    def _freeze(self, masks: list[int]) -> None:
+    def _freeze(self, masks: list[int], edge_count: int | None = None) -> None:
         self.n = len(masks)
         self._masks = tuple(masks)
-        self._edge_count = sum(m.bit_count() for m in masks) // 2
+        if edge_count is None:
+            edge_count = sum(m.bit_count() for m in masks) // 2
+        self._edge_count = edge_count
+        self._pool = None  # filled by the first _pool(self)
         self._non_edges = None  # filled by the first non_edges(self)
 
     @property
@@ -97,6 +105,10 @@ class Graph:
         """Neighbors of v as a bitmask (bit u set iff u ~ v)."""
         return self._masks[v]
 
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Every vertex's adjacency_mask, in id order."""
+        return self._masks
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self._masks[u] >> index(v)) & 1)
 
@@ -112,6 +124,17 @@ class Graph:
         into a copy of this graph's masks.
         """
         return Graph._from_masks(_or_edges(list(self._masks), extra))
+
+    def _with_pool_pairs(self, us: np.ndarray, vs: np.ndarray) -> "Graph":
+        """New graph with the pairs (us[i], vs[i]) added, unchecked: the
+        caller vouches that they are distinct non-edges of this graph,
+        such as pairs of _pool(self), so none needs validating and the
+        edge count adds up."""
+        masks = list(self._masks)
+        for u, v in zip(us.tolist(), vs.tolist()):
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return Graph._from_masks(masks, self._edge_count + len(us))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -192,16 +215,30 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     return Graph(len(ids), edges)
 
 
+def _pool(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The non-edges of g as two position arrays (u, v), u < v, in
+    lexicographic order: pair i is (u[i], v[i]).  Unpacks the mask
+    bytes into the adjacency matrix and lists the zeros above its
+    diagonal in row-major order.  Built on the first call and kept on
+    g."""
+    pool = g._pool
+    if pool is None:
+        width = (g.n + 7) // 8
+        rows = np.frombuffer(
+            b"".join(m.to_bytes(width, "little") for m in g._masks), np.uint8)
+        adj = np.unpackbits(rows.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
+        pool = g._pool = np.nonzero(np.triu(adj == 0, 1))
+    return pool
+
+
 def non_edges(g: Graph) -> tuple[Edge, ...]:
     """All unordered pairs not in E, in lexicographic order.  The tuple
-    is built on the first call and kept on g, so later calls return the
-    same object."""
+    is built from _pool(g) on the first call and kept on g, so later
+    calls return the same object."""
     pairs = g._non_edges
     if pairs is None:
-        full = (1 << g.n) - 1
-        pairs = g._non_edges = tuple([
-            (u, v) for u in range(g.n)
-            for v in _bits((full & ~g.adjacency_mask(u)) >> (u + 1) << (u + 1))])
+        u, v = _pool(g)
+        pairs = g._non_edges = tuple(zip(u.tolist(), v.tolist()))
     return pairs
 
 

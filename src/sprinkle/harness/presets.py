@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ..augment import augment_uniform
 from ..checkers import PropertyVerdict, connected_components, is_k_connected
-from ..core import density_param, induced_subgraph, non_edges
+from ..core import density_param, induced_subgraph
 from ..generators import disjoint_cliques, nearly_equal_parts
 from ..seeds import SeedSpec, as_seed
 from .sweep import SweepConfig
@@ -243,8 +243,7 @@ def deterministic_lower_bound_check(
         for v in members:
             clique_of[v] = ci
 
-    pool = non_edges(h)
-    if max_r > len(pool):
+    if max_r > h.n * (h.n - 1) // 2 - h.edge_count:
         raise ValueError("bound size exceeds available non-edges; parameters invalid")
     for i in range(samples):
         aug = augment_uniform(h, max_r, seed.derive(i))

@@ -8,6 +8,9 @@ function of its config: reruns reproduce the CSV byte for byte.  A
 base-graph family that ignores its seed (SEED_FREE_GENERATORS) is built
 once per sweep and shared by every trial, together with its memoised
 non-edge pool; any other family is rebuilt from each trial's seed.
+The bisection's probes grow incrementally: each starts from the masks of
+the last probe that had not flipped and ORs in, unchecked, only the
+pairs of the draw added since, which come from the base's own pool.
 """
 
 from __future__ import annotations
@@ -340,13 +343,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         lo, hit = 0, feasible
         if feasible:
             aug = augment(base, grid[feasible - 1], seed.stream(1))
+        below, done = base, 0  # the last probe that had not flipped, and its k
         while lo < hit:
             mid = (lo + hit) // 2
             k = grid[mid] if uniform else bisect_left(aug.labels, grid[mid])
-            if bool(prop(base.with_edges(aug.added[:k]), prop_params)) == far:
+            probe = below._with_pool_pairs(aug.u[done:k], aug.v[done:k])
+            if bool(prop(probe, prop_params)) == far:
                 hit = mid
             else:
                 lo = mid + 1
+                below, done = probe, k
         if (
             config.trial_timeout_s is not None
             and time.perf_counter() - start > config.trial_timeout_s

@@ -78,7 +78,7 @@ def mader_subgraph(g: Graph, k: int) -> VertexSet:
     # and it survives both peeling and separator splits.
     gamma = Fraction(g.edge_count, g.n)
     excess = target - 1
-    masks = [g.adjacency_mask(v) for v in range(g.n)]
+    masks = g.adjacency_masks()
 
     work = list(range(g.n))
     while True:
@@ -129,7 +129,7 @@ def dense_partition(g: Graph, k: int) -> PartitionResult:
     size_bound = _ceil_div(k, 8)
     seed_k = _ceil_div(k, 2)  # mader at ceil(k/2) certifies ceil(k/8)
 
-    masks = [g.adjacency_mask(v) for v in range(n)]
+    masks = g.adjacency_masks()
     parts: list[set[int]] = []
     part_masks: list[int] = []
     seeds: list[VertexSet] = []

@@ -1,4 +1,5 @@
 import io
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +19,8 @@ from sprinkle import (
     two_cliques,
     write_edge_list,
 )
-from sprinkle.core import edges_within, vertex_mask
+from oracles import random_graph
+from sprinkle.core import _pool, edges_within, vertex_mask
 
 
 def test_build_triangle():
@@ -126,6 +128,18 @@ def test_non_edges_returns_the_cached_tuple():
     assert non_edges(g) is first
     # a graph equal to g has its own cache, built the same way
     assert non_edges(Graph(4, [(2, 3), (1, 0)])) == first
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2**32))
+def test_pool_arrays_list_the_non_edges_in_order(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    u, v = _pool(g)
+    assert u.dtype.kind == v.dtype.kind == "i"
+    lex = tuple((a, b) for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b))
+    assert tuple(zip(u.tolist(), v.tolist())) == lex == non_edges(g)
+    assert _pool(g) is _pool(g)
+    assert g.adjacency_masks() == tuple(g.adjacency_mask(w) for w in range(n))
 
 
 def test_identity_relabeling_is_same_graph():

@@ -17,11 +17,12 @@ from oracles import (
     full_grid_sweep,
     random_graph,
 )
-from sprinkle import SeedSpec, non_edges
+from sprinkle import Graph, SeedSpec, non_edges
 from sprinkle.harness import (
     SweepConfig,
     estimate_threshold,
     run_sweep,
+    theorem_preset,
     wilson_interval,
 )
 from sprinkle.harness import sweep as sweep_mod
@@ -116,6 +117,47 @@ def test_sweep_csv_golden():
     for overrides, digest in cases:
         csv = run_sweep(make_config(**overrides)).to_csv()
         assert hashlib.sha256(csv.encode()).hexdigest() == digest, csv
+
+
+def _thm4_bernoulli_config(n, d, trials, seed):
+    # blocked G(n, p) base, Bernoulli grid spanning thm4's reference
+    # edge counts, diameter <= 3
+    lower = math.log(n) / (-2 * math.log(1 - 2 * float(d)))
+    upper = (1 - float(d)) / (float(d) * float(d)) * math.log(n)
+    lo, hi, pairs = lower / 4, 4 * upper, n * (n - 1) // 2
+    return SweepConfig(
+        generator={"name": "blocked_gnp", "params": {"n": n, "d": d}},
+        model="bernoulli",
+        grid=tuple(lo * (hi / lo) ** (i / 11) / pairs for i in range(12)),
+        trials=trials,
+        property={"name": "diameter_le", "params": {"t": 3}},
+        master_seed=seed,
+    )
+
+
+@pytest.mark.parametrize("cfg,config_hash,csv_hash", [
+    (theorem_preset("thm5", 200, {"trials": 4, "master_seed": SeedSpec(11, 0)}),
+     "4919a882af0cecefa77920e1eadde9debcc35eb788b47cc72511b3754259de5d",
+     "5f81a04ef62200f9eaddc766087417a91ccf9bda0e438fbc512cea4eacbb0268"),
+    (theorem_preset("thm6", 120, {"d": "0.1", "k": 3, "trials": 1,
+                                  "master_seed": SeedSpec(12, 0)}),
+     "b494b5a528e32d98b5cf80fa73c546de6d346deddef376b210b909f9d8f3bc49",
+     "89dcb0d036750fa28f17275b53dc29ba0c1212eb5353f89fb1f5dee39c172024"),
+    (theorem_preset("thm2", 80, {"r": 9, "r0": 4, "trials": 10,
+                                 "master_seed": SeedSpec(2, 0)}),
+     "b1956f86bcb2f82d079395613b420b27975dfa1236e7e77b584904b9a34f6c2e",
+     "7e9450871a03232378673030698199751b80be2aad86b0fc1355a37b503762a0"),
+    (_thm4_bernoulli_config(150, "0.15", 10, SeedSpec(7, 0)),
+     "17e661e56aba23c7750ed02a39b67d77416f4b6bd0966c7641af481e80250e94",
+     "d357caa1cede241c1d6e8ced303284fb71f21c23aaf771d93dd66d141bc823a4"),
+], ids=["thm5-diam2", "thm6-kconn", "thm2-clique", "thm4-bern-diam3"])
+def test_benchmark_sweep0_csv_golden(cfg, config_hash, csv_hash):
+    # sweep 0 of each perfbench workload, restated here; a change to the
+    # pool, the draw or the probes that moves the random stream or a
+    # verdict shows in tier-1 as well as in the benchmark
+    assert cfg.config_hash() == config_hash
+    csv = run_sweep(cfg).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == csv_hash, csv
 
 
 # small params for every GENERATORS entry
@@ -244,6 +286,57 @@ def test_sweep_matches_full_grid_oracle(name, model, prop, param, seed, data):
         generator={"name": name, "params": params}, model=model, grid=tuple(grid),
         trials=data.draw(st.integers(1, 6)), master_seed=SeedSpec(seed),
         property={"name": prop, "params": {"r": param, "t": param, "k": param}}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(COUPLING_BASES)), st.sampled_from(["uniform", "bernoulli"]),
+       st.sampled_from(sorted(sweep_mod.PROPERTIES)), st.integers(1, 4),
+       st.integers(0, 2**32), st.data())
+def test_sweep_probes_equal_checked_prefix_graphs(name, model, prop, param, seed, data):
+    # every graph the bisection hands to the property is the trial's base
+    # with the first k pairs of its draw added through the checked
+    # with_edges, for the k of some grid point, with a true edge count
+    params = COUPLING_BASES[name]
+    n = params.get("n") or sum(params["parts"])
+    if model == "uniform":  # reaching past the pool leaves an infeasible suffix
+        values = st.integers(0, n * (n - 1) // 2)
+    else:
+        values = st.floats(0, 1)
+    grid = tuple(sorted(data.draw(st.lists(values, min_size=1, max_size=7, unique=True))))
+    draws, probes = [], []
+
+    def recording_augment(fn):
+        def recorded(h, value, seed):
+            draws.append(fn(h, value, seed))
+            return draws[-1]
+        return recorded
+
+    check, direction = sweep_mod.PROPERTIES[prop]
+
+    def recording_check(g, p):
+        probes.append((draws[-1], g))
+        return check(g, p)
+
+    cfg = make_config(
+        generator={"name": name, "params": params}, model=model, grid=grid,
+        trials=data.draw(st.integers(1, 6)), master_seed=SeedSpec(seed),
+        property={"name": prop, "params": {"r": param, "t": param, "k": param}})
+    with pytest.MonkeyPatch.context() as mp:
+        for augment in ("augment_uniform", "augment_bernoulli"):
+            mp.setattr(sweep_mod, augment, recording_augment(getattr(sweep_mod, augment)))
+        mp.setitem(sweep_mod.PROPERTIES, prop, (recording_check, direction))
+        run_sweep(cfg)
+    for aug, g in probes:
+        ks = [min(v, len(aug.added)) if model == "uniform" else int(np.searchsorted(aug.labels, v))
+              for v in grid]
+        k = g.edge_count - aug.base.edge_count
+        assert k in ks
+        expected = aug.base.with_edges(aug.added[:k])
+        assert g == expected and g.edge_count == expected.edge_count
+        assert g.edge_count == Graph(g.n, g.edges()).edge_count
+    bases = {id(aug.base) for aug in draws}
+    assert len(bases) == (min(1, len(draws)) if name in sweep_mod.SEED_FREE_GENERATORS
+                          else len(draws))
 
 
 @settings(max_examples=150, deadline=None)
