@@ -1,10 +1,18 @@
 """Diameter on adjacency bitmasks.
 
-diameter() runs a layered BFS from every vertex.  diameter_at_most(g, t)
-decides "every pair within distance t" without one: a degree screen
-drops the vertices that are within distance 2 of everything, and the
-balls of the rest grow by a recurrence over whole balls,
-B_{k+1}(v) = OR of B_k(w) over w in N[v], instead of one BFS each.
+Both checks grow every vertex's ball a level at a time by the
+recurrence B_{k+1}(v) = OR of B_k(w) over w in N[v], on numpy word
+arrays: row j of a level holds the j-th 64-bit word of every vertex's
+ball.  The closed neighbourhoods are packed once per call, and one
+unpackbits of them lists every N[v]; a level then gathers, for each
+word row, the words of each neighbourhood and ORs them with one
+bitwise_or.reduceat.  Only integer bit operations decide a verdict.
+
+diameter() grows the balls until all of them are V, or until a level
+grows none of them (the graph is disconnected).  diameter_at_most(g, t)
+first drops, by a degree screen, the vertices within distance 2 of
+everything and probes the first vertex left by BFS; the levels then
+run only while some remaining source's ball misses a vertex.
 
 Disconnected graphs get the distinguished value math.inf rather than a
 sentinel integer, so comparisons like "diameter >= 3" behave correctly
@@ -18,7 +26,9 @@ from collections.abc import Iterator
 from itertools import accumulate
 from operator import or_
 
-from ..core import Graph, _bits
+import numpy as np
+
+from ..core import Graph
 from ._verdict import PropertyVerdict
 
 
@@ -46,20 +56,49 @@ def _eccentricity(masks, full: int, v: int, cutoff: int | None = None):
     return depth, visited
 
 
+def _words(masks, n: int) -> np.ndarray:
+    """The n-bit masks as a (ceil(n/64), len(masks)) uint64 array:
+    column i holds masks[i], least significant word first."""
+    width = 8 * -(-n // 64)
+    packed = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.frombuffer(packed, "<u8").reshape(len(masks), -1).T
+
+
+def _neighbourhoods(closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, starts) such that N[v] = cols[starts[v]:starts[v + 1]],
+    in increasing order, read off the closed neighbourhoods as _words
+    packs them by one unpackbits.  Every N[v] holds v, so starts
+    strictly increases, as bitwise_or.reduceat needs."""
+    n = closed.shape[1]
+    bits = np.unpackbits(closed.T.view(np.uint8), axis=1, count=n, bitorder="little")
+    flat = np.flatnonzero(bits.view(bool))
+    return flat % n, np.searchsorted(flat, np.arange(0, n * n, n))
+
+
+def _level(balls: np.ndarray, cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The next level of balls: B_{k+1}(v), the OR of B_k(w) over w in
+    N[v], one word row at a time."""
+    return np.stack([np.bitwise_or.reduceat(row[cols], starts) for row in balls])
+
+
 def diameter(g: Graph) -> int | float:
     """Largest shortest-path distance over all vertex pairs; math.inf
     when g is disconnected; 0 for the one-vertex graph."""
     if g.n == 0:
         raise ValueError("diameter undefined on the empty graph (n=0)")
+    n = g.n
     masks = g.adjacency_masks()
-    full = (1 << g.n) - 1
-    worst = 0
-    for v in range(g.n):
-        ecc, visited = _eccentricity(masks, full, v)
-        if visited != full:
+    cols, starts = _neighbourhoods(_words([m | 1 << v for v, m in enumerate(masks)], n))
+    full = _words([(1 << n) - 1], n)
+    balls = _words([1 << v for v in range(n)], n)  # B_0(v) = {v}
+    depth = 0
+    while (balls != full).any():
+        grown = _level(balls, cols, starts)
+        if np.array_equal(grown, balls):
             return math.inf
-        worst = max(worst, ecc)
-    return worst
+        balls = grown
+        depth += 1
+    return depth
 
 
 def _screened_sources(masks, closed) -> Iterator[int]:
@@ -79,23 +118,11 @@ def _screened_sources(masks, closed) -> Iterator[int]:
             if d <= cap and low[n - 2 - d] & ~closed[u])
 
 
-def _union(balls, ids) -> int:
-    """The union of balls[w] over the vertices w in ids."""
-    ball = 0
-    for w in ids:
-        ball |= balls[w]
-    return ball
-
-
-def _all_full(ids, balls, full: int) -> PropertyVerdict:
-    """Whether balls[i], the t-ball of ids[i], is all of V for each i in
-    turn; the first that is not gives the witness (v, u), u the
-    smallest vertex outside the ball of v."""
-    for v, ball in zip(ids, balls):
-        if ball != full:
-            far = full & ~ball
-            return PropertyVerdict(False, witness=(v, (far & -far).bit_length() - 1))
-    return PropertyVerdict(True)
+def _short(v: int, ball: int, full: int) -> PropertyVerdict:
+    """The failed verdict for v, whose ball misses a vertex: the
+    witness is (v, u), u the smallest vertex outside the ball."""
+    far = full & ~ball
+    return PropertyVerdict(False, witness=(v, (far & -far).bit_length() - 1))
 
 
 def diameter_at_most(g: Graph, t: int) -> PropertyVerdict:
@@ -105,33 +132,41 @@ def diameter_at_most(g: Graph, t: int) -> PropertyVerdict:
 
     For t >= 2 only the vertices the degree screen keeps can fail.  The
     first of them is probed by BFS, since a failing graph usually fails
-    there.  The rest are decided by the ball recurrence: levels 2..t-1
-    for every vertex, stopping once every remaining source's ball is
-    full, then level t for the remaining sources in id order.
+    there.  The levels 2..t of every ball then decide the rest: after
+    each level the sources whose ball is full are dropped, and the
+    first source left after level t is the witness.
     """
     if g.n == 0:
         raise ValueError("diameter undefined on the empty graph (n=0)")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    n = g.n
     masks = g.adjacency_masks()
-    full = (1 << g.n) - 1
+    full = (1 << n) - 1
     closed = [m | 1 << v for v, m in enumerate(masks)]  # B_1(v) = N[v]
     if t < 2:
-        return _all_full(range(g.n), closed if t else [1 << v for v in range(g.n)], full)
+        for v, ball in enumerate(closed if t else [1 << v for v in range(n)]):
+            if ball != full:
+                return _short(v, ball, full)
+        return PropertyVerdict(True)
     sources = _screened_sources(masks, closed)
     first = next(sources, None)
     if first is None:
         return PropertyVerdict(True)
     _, visited = _eccentricity(masks, full, first, cutoff=t)
     if visited != full:
-        return _all_full([first], [visited], full)
+        return _short(first, visited, full)
     rest = [s for s in sources if closed[s] != full]
-    balls, nbrs = closed, None
-    for _ in range(2, t):
-        nbrs = nbrs or [_bits(c) for c in closed]
-        balls = [b if b == full else _union(balls, ids) for b, ids in zip(balls, nbrs)]
-        rest = [s for s in rest if balls[s] != full]
-        if not rest:
-            break
-    last = (_union(balls, nbrs[s] if nbrs else _bits(closed[s])) for s in rest)
-    return _all_full(rest, last, full)
+    if not rest:
+        return PropertyVerdict(True)
+    rest = np.array(rest)
+    balls = _words(closed, n)
+    cols, starts = _neighbourhoods(balls)
+    full_words = _words([full], n)
+    for _ in range(2, t + 1):
+        balls = _level(balls, cols, starts)
+        rest = rest[(balls[:, rest] != full_words).any(axis=0)]
+        if not rest.size:
+            return PropertyVerdict(True)
+    v = int(rest[0])
+    return _short(v, int.from_bytes(balls[:, v].astype("<u8").tobytes(), "little"), full)

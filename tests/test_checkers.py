@@ -271,16 +271,19 @@ def diameter_cases(draw):
     """Graphs from the families the sweeps check, each plus up to 2n
     random edges: G(n, p), two cliques, blocked G(n, p), disjoint
     cliques (disconnected without the extra edges) and complete
-    multipartite graphs, down to n = 1."""
+    multipartite graphs, down to n = 1.  The first three also come at
+    sizes on and around the 64-bit word boundaries, up to three words."""
     kind = draw(st.sampled_from(
         ["gnp", "two_cliques", "blocked_gnp", "disjoint_cliques", "multipartite"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
+    wide = st.sampled_from([63, 64, 65, 128, 129, 150])
     if kind == "gnp":
-        g = random_graph(rng, draw(st.integers(1, 24)), draw(st.floats(0, 1)))
+        g = random_graph(rng, draw(st.integers(1, 24) | wide), draw(st.floats(0, 1)))
     elif kind == "two_cliques":
-        g = two_cliques(draw(st.integers(2, 30)))
+        g = two_cliques(draw(st.integers(2, 30) | wide))
     elif kind == "blocked_gnp":
-        g = blocked_gnp(draw(st.integers(16, 40)), Fraction(1, 10), SeedSpec(rng.randrange(2**32)))
+        n = draw(st.integers(16, 40) | wide)
+        g = blocked_gnp(n, Fraction(1, 10), SeedSpec(rng.randrange(2**32)))
     elif kind == "disjoint_cliques":
         n = draw(st.integers(1, 30))
         g = disjoint_cliques(n, draw(st.integers(1, n)))
@@ -294,7 +297,23 @@ def diameter_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(diameter_cases())
 def test_diameter_at_most_matches_per_source_bfs(g):
+    d = diameter(g)
     for t in range(7):
+        v = diameter_at_most(g, t)
+        want = bfs_diameter_at_most(g, t)
+        assert (v.holds, v.witness, v.reason) == want, t
+        assert want[0] == (d <= t), t
+
+
+def test_diameter_at_most_witness_in_top_word():
+    # vertex 0 joins 1..128 and a path runs 128-129-...-149, so the
+    # degree screen keeps 0 first and its BFS probe passes at t = 22;
+    # the levels must then find 1, whose 22-ball misses only 149, a bit
+    # of the third 64-bit word
+    g = Graph(150, [(0, v) for v in range(1, 129)] + [(v, v + 1) for v in range(128, 149)])
+    assert diameter(g) == 23
+    assert diameter_at_most(g, 22).witness == (1, 149)
+    for t in range(20, 25):
         v = diameter_at_most(g, t)
         assert (v.holds, v.witness, v.reason) == bfs_diameter_at_most(g, t), t
 
