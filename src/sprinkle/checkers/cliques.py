@@ -15,7 +15,7 @@ parts, and each is searched on its own sparse subgraph.
 
 from __future__ import annotations
 
-from ..core import Graph, VertexSet, vertex_mask
+from ..core import Graph, VertexSet
 from ._verdict import PropertyVerdict
 from .connectivity import _components
 
@@ -101,7 +101,7 @@ def _clique_search(g: Graph, floor: int, stop: int) -> list[int]:
         return _branch_and_bound(masks, full, floor, stop)
     found: list[int] = []
     for comp in comps:
-        found += _branch_and_bound(masks, vertex_mask(comp), 0, stop - len(found))
+        found += _branch_and_bound(masks, comp, 0, stop - len(found))
         if len(found) >= stop:
             break
     return found if len(found) > floor else []

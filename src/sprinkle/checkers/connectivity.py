@@ -11,40 +11,41 @@ degree at least (n + k - 2) / 2 forces k-connectivity outright.
 
 from __future__ import annotations
 
-from ..core import Graph, _bits, vertex_mask
+from ..core import Graph, _bits
 from ._verdict import PropertyVerdict
 from .distance import _eccentricity
 
 
-def _components(masks, alive: int) -> list[list[int]]:
-    """Vertex sets of the components of the subgraph induced by the
-    vertex mask alive, each sorted, in order of their least vertex.
-    Each component is the ball of a mask-frontier BFS."""
+def _components(masks, alive: int) -> list[int]:
+    """Vertex masks of the components of the subgraph induced by the
+    vertex mask alive, in order of their least vertex.  Each component
+    is the ball of a mask-frontier BFS."""
     unseen = alive
     comps = []
     while unseen:
         _, comp = _eccentricity(masks, alive, (unseen & -unseen).bit_length() - 1)
         unseen &= ~comp
-        comps.append(_bits(comp))
+        comps.append(comp)
     return comps
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex sets of the components, each sorted, in order of their
     least vertex."""
-    return _components(g.adjacency_masks(), (1 << g.n) - 1)
+    return [_bits(c) for c in _components(g.adjacency_masks(), (1 << g.n) - 1)]
 
 
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return False
-    return len(connected_components(g)) == 1
+    full = (1 << g.n) - 1
+    return _eccentricity(g.adjacency_masks(), full, 0)[1] == full
 
 
-def _disjoint_paths(masks, t: int, k: int, s: int | None = None, members=()):
+def _disjoint_paths(masks, t: int, k: int, s: int | None = None, members: int = 0):
     """Up to k internally vertex-disjoint paths into t, either from the
     vertex s (not adjacent to t) or from a super-source joined by one
-    unit arc to each member.
+    unit arc to each vertex of the mask members.
 
     This is unit-capacity max-flow on the vertex-split graph (in(v) ->
     out(v) with capacity 1, out(u) -> in(v) uncapped for every edge),
@@ -61,7 +62,6 @@ def _disjoint_paths(masks, t: int, k: int, s: int | None = None, members=()):
     """
     frm = [0] * len(masks)
     used = fed = 0  # vertices whose split arc carries flow; members fed by the super-source
-    member_mask = vertex_mask(members)
     flow = 0
     while flow < k:
         # every residual arc joins an out-side to an in-side, so the BFS
@@ -70,7 +70,7 @@ def _disjoint_paths(masks, t: int, k: int, s: int | None = None, members=()):
         if s is None:
             out_layers = []
             out_reach = 0
-            in_front = member_mask & ~fed
+            in_front = members & ~fed
         else:
             out_layers = [1 << s]
             out_reach = 1 << s
@@ -172,17 +172,16 @@ def is_k_connected(g: Graph, k: int) -> PropertyVerdict:
                 # vertices cut at their split arc
                 return PropertyVerdict(False, witness=frozenset(_bits(in_reach & ~out_reach)))
 
-    members = tuple(range(k))
-    member_mask = (1 << k) - 1
+    members = (1 << k) - 1
     for u in range(k, g.n):
-        if masks[u] & member_mask == member_mask:
+        if masks[u] & members == members:
             # u adjacent to the whole k-set: any small cut separating u
             # would have to contain all k of them, impossible.
             continue
         flow, in_reach, out_reach = _disjoint_paths(masks, u, k, members=members)
         if flow < k:
             # plus the members cut at their super-source arc
-            sep = in_reach & ~out_reach | member_mask & ~in_reach
+            sep = in_reach & ~out_reach | members & ~in_reach
             return PropertyVerdict(False, witness=frozenset(_bits(sep)))
     return PropertyVerdict(True)
 
@@ -191,26 +190,19 @@ def vertex_connectivity(g: Graph) -> int:
     """Exact kappa(g); by convention kappa(K_n) = n - 1.  Needs n >= 2."""
     if g.n < 2:
         raise ValueError("vertex connectivity needs n >= 2")
-    degrees = [g.degree(v) for v in range(g.n)]
-    dmin = min(degrees)
-    if dmin == g.n - 1:
-        return g.n - 1
-    v0 = min(range(g.n), key=lambda v: (degrees[v], v))
-    best = degrees[v0]
+    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
+    best = g.degree(v0)
     masks = g.adjacency_masks()
-    nb = set(g.neighbors(v0))
-    for u in range(g.n):
+    nb = masks[v0]
+    # v0's non-neighbours, then each non-adjacent pair x < y in N(v0);
+    # on K_n both walks are empty and best stays n - 1
+    for u in _bits(((1 << g.n) - 1) & ~nb & ~(1 << v0)):
         if best == 0:
             return 0
-        if u == v0 or u in nb:
-            continue
         best = _disjoint_paths(masks, u, best, s=v0)[0]
-    nbs = sorted(nb)
-    for ix, x in enumerate(nbs):
-        for y in nbs[ix + 1 :]:
+    for x in _bits(nb):
+        for y in _bits(nb & ~masks[x] & -(2 << x)):
             if best == 0:
                 return 0
-            if g.has_edge(x, y):
-                continue
             best = _disjoint_paths(masks, y, best, s=x)[0]
     return best

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import Graph, VertexSet, edges_within
+from ..core import Graph, VertexSet, edges_within, vertex_mask
 from ._maxflow import MaxFlow
 
 
@@ -59,7 +59,7 @@ def max_subgraph_density(g: Graph) -> DensityMeasure:
         s = _denser_set(g, best.numerator, best.denominator)
         if s is None:
             return DensityMeasure(best, witness)
-        value = Fraction(edges_within(g, s), len(s))
+        value = Fraction(edges_within(g, vertex_mask(s)), len(s))
         if value <= best:
             raise RuntimeError("density search failed to improve; flow network bug")
         best = value

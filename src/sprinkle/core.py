@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 from pathlib import Path
-from typing import IO, Collection, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -189,11 +189,9 @@ def vertex_mask(ids: Iterable[int]) -> int:
     return mask
 
 
-def edges_within(g: Graph, ids: Collection[int]) -> int:
-    """Number of edges of g with both endpoints in ids, a collection of
-    distinct vertices."""
-    mask = vertex_mask(ids)
-    return sum((g._masks[v] & mask).bit_count() for v in ids) // 2
+def edges_within(g: Graph, mask: int) -> int:
+    """Number of edges of g with both endpoints in the vertex mask."""
+    return sum((g._masks[v] & mask).bit_count() for v in _bits(mask)) // 2
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:

@@ -151,8 +151,6 @@ def mader_tightness_graph(n: int, k: int, seed: SeedSpec) -> Graph:
         raise ValueError("k must be positive")
     if k + 1 > n:
         raise ValueError(f"need k+1 <= n, got k={k}, n={n}")
-    if k > n:
-        raise ValueError("need k^2 <= n*k, i.e. k <= n")
     excess = Fraction(k * k, n)
     # ceil((n - k^2/n) / (k+1)) cliques, capped by what actually fits
     want = -((-(n * n - k * k)) // (n * (k + 1)))

@@ -15,8 +15,9 @@ import math
 from fractions import Fraction
 
 from ..augment import augment_uniform
-from ..checkers import PropertyVerdict, connected_components, is_k_connected
-from ..core import density_param, induced_subgraph
+from ..checkers import PropertyVerdict, is_k_connected
+from ..checkers.connectivity import _components
+from ..core import _bits, density_param, vertex_mask
 from ..generators import disjoint_cliques, nearly_equal_parts
 from ..seeds import SeedSpec, as_seed
 from .sweep import SweepConfig
@@ -237,10 +238,11 @@ def deterministic_lower_bound_check(
         raise RuntimeError("pigeonhole arithmetic failed; defect")
 
     # the components of a disjoint union of cliques are its cliques
-    cliques = connected_components(h)
+    full = (1 << n) - 1
+    cliques = _components(h.adjacency_masks(), full)
     clique_of = [0] * n
     for ci, members in enumerate(cliques):
-        for v in members:
+        for v in _bits(members):
             clique_of[v] = ci
 
     if max_r > h.n * (h.n - 1) // 2 - h.edge_count:
@@ -255,10 +257,9 @@ def deterministic_lower_bound_check(
                 incident[cv] += 1
         # check the certificate on the graph, not the counts: the least-hit
         # clique has < k R-endpoints, and deleting them cuts the graph
-        ends = {v for edge in aug.added for v in edge}
-        cut = ends.intersection(cliques[min(range(t), key=incident.__getitem__)])
-        rest = [v for v in range(n) if v not in cut]
-        if len(cut) >= k or len(connected_components(induced_subgraph(aug.graph, rest))) < 2:
+        ends = vertex_mask(v for edge in aug.added for v in edge)
+        cut = ends & cliques[min(range(t), key=incident.__getitem__)]
+        if cut.bit_count() >= k or len(_components(aug.graph.adjacency_masks(), full & ~cut)) < 2:
             raise RuntimeError("pigeonhole certificate fails on a sample; defect")
         verdict = is_k_connected(aug.graph, k)
         if verdict.holds:

@@ -178,6 +178,10 @@ class SweepConfig:
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        for field in ("generator", "property"):
+            if not isinstance(getattr(self, field), dict):
+                raise ValueError(
+                    f"{field} must be an object with a name, got {getattr(self, field)!r}")
         if self.generator.get("name") not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator.get('name')!r}")
         if self.property.get("name") not in PROPERTIES:
@@ -216,6 +220,8 @@ class SweepConfig:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         seed_doc = doc["master_seed"]
         if isinstance(seed_doc, dict):
+            if "seed" not in seed_doc:
+                raise ValueError(f"master_seed needs a seed, got {seed_doc!r}")
             seed = SeedSpec(int(seed_doc["seed"]), int(seed_doc.get("stream_id", 0)))
         else:
             seed = SeedSpec(int(seed_doc))

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Graph, VertexSet, edges_within, induced_subgraph, min_degree, vertex_mask
-from .checkers.connectivity import _components, connected_components, is_k_connected
+from .core import Graph, VertexSet, _bits, edges_within, induced_subgraph, min_degree, vertex_mask
+from .checkers.connectivity import _components, is_k_connected
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,15 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _certified_subset(g: Graph, vertices: list[int], target: int) -> tuple[bool, frozenset]:
-    """Run the connectivity checker on g[vertices] and map any separator
-    back to original vertex ids."""
-    sub = induced_subgraph(g, vertices)
-    verdict = is_k_connected(sub, target)
+def _certified_subset(g: Graph, mask: int, target: int) -> tuple[bool, int]:
+    """Run the connectivity checker on g induced on the vertex mask and
+    map any separator back to a mask of original vertex ids."""
+    ids = _bits(mask)
+    verdict = is_k_connected(induced_subgraph(g, ids), target)
     if verdict.holds:
-        return True, frozenset()
-    ids = sorted(vertices)
-    sep = verdict.witness if isinstance(verdict.witness, frozenset) else frozenset()
-    return False, frozenset(ids[i] for i in sep)
+        return True, 0
+    sep = verdict.witness if isinstance(verdict.witness, frozenset) else ()
+    return False, vertex_mask(ids[i] for i in sep)
 
 
 def mader_subgraph(g: Graph, k: int) -> VertexSet:
@@ -66,11 +65,13 @@ def mader_subgraph(g: Graph, k: int) -> VertexSet:
             f"average degree {2 * g.edge_count}/{g.n or 1} is below k={k}"
         )
     target = _ceil_div(k, 4)
+    masks = g.adjacency_masks()
+    work = (1 << g.n) - 1
 
     if target == 1:
-        for comp in connected_components(g):
-            if len(comp) >= 2:
-                return tuple(comp)
+        for comp in _components(masks, work):
+            if comp.bit_count() >= 2:
+                return tuple(_bits(comp))
         raise RuntimeError("average degree >= 1 but no component has an edge")
 
     # density property P(W): e(W) > gamma * (|W| - excess), with gamma the
@@ -78,39 +79,34 @@ def mader_subgraph(g: Graph, k: int) -> VertexSet:
     # and it survives both peeling and separator splits.
     gamma = Fraction(g.edge_count, g.n)
     excess = target - 1
-    masks = g.adjacency_masks()
 
-    work = list(range(g.n))
     while True:
         # peel any vertex with degree <= gamma inside the working set
-        wmask = vertex_mask(work)
         changed = True
         while changed:
             changed = False
-            for v in list(work):
-                deg = (masks[v] & wmask).bit_count()
-                if deg <= gamma:
-                    work.remove(v)
-                    wmask ^= 1 << v
+            for v in _bits(work):
+                if (masks[v] & work).bit_count() <= gamma:
+                    work ^= 1 << v
                     changed = True
-        if len(work) <= target:
+        if work.bit_count() <= target:
             raise RuntimeError(
                 "dense-core search collapsed below the target order; "
                 "this should be impossible when the average degree bound holds"
             )
         ok, separator = _certified_subset(g, work, target)
         if ok:
-            return tuple(sorted(work))
+            return tuple(_bits(work))
         # candidate sides: each component of the working set minus the
         # separator, plus the separator; at least one keeps the density
         # property
-        best_side = None
-        for comp in _components(masks, wmask & ~vertex_mask(separator)):
-            side_ids = sorted(set(comp) | separator)
-            if edges_within(g, side_ids) > gamma * (len(side_ids) - excess):
-                if best_side is None or len(side_ids) > len(best_side):
-                    best_side = side_ids
-        if best_side is None or len(best_side) >= len(work):
+        best_side = 0
+        for comp in _components(masks, work & ~separator):
+            side = comp | separator
+            size = side.bit_count()
+            if edges_within(g, side) > gamma * (size - excess) and size > best_side.bit_count():
+                best_side = side
+        if not best_side or best_side.bit_count() >= work.bit_count():
             raise RuntimeError("separator split made no progress; search defect")
         work = best_side
 
@@ -130,40 +126,31 @@ def dense_partition(g: Graph, k: int) -> PartitionResult:
     seed_k = _ceil_div(k, 2)  # mader at ceil(k/2) certifies ceil(k/8)
 
     masks = g.adjacency_masks()
-    parts: list[set[int]] = []
     part_masks: list[int] = []
     seeds: list[VertexSet] = []
-    unassigned = set(range(n))
+    unassigned = (1 << n) - 1
 
     while unassigned:
         progress = False
         # phase 1: extract seeds while the residual average degree permits
-        while True:
-            residual = sorted(unassigned)
-            if not residual:
-                break
-            if 2 * edges_within(g, residual) < seed_k * len(residual):
-                break
-            sub = induced_subgraph(g, residual)
-            local = mader_subgraph(sub, seed_k)
+        while unassigned and 2 * edges_within(g, unassigned) >= seed_k * unassigned.bit_count():
+            residual = _bits(unassigned)
+            local = mader_subgraph(induced_subgraph(g, residual), seed_k)
             seed = tuple(residual[i] for i in local)
             seeds.append(seed)
-            parts.append(set(seed))
             part_masks.append(vertex_mask(seed))
-            unassigned -= set(seed)
+            unassigned &= ~part_masks[-1]
             progress = True
         # phase 2: absorb outside vertices with enough neighbors in a part
         changed = True
         while changed and unassigned:
             changed = False
-            for v in sorted(unassigned):
-                for i in range(len(parts)):
-                    if (masks[v] & part_masks[i]).bit_count() >= conn_bound:
-                        parts[i].add(v)
+            for v in _bits(unassigned):
+                for i, part in enumerate(part_masks):
+                    if (masks[v] & part).bit_count() >= conn_bound:
                         part_masks[i] |= 1 << v
-                        unassigned.discard(v)
-                        changed = True
-                        progress = True
+                        unassigned ^= 1 << v
+                        changed = progress = True
                         break
         # phase 3: anything left loops back to seed extraction; the
         # leftover has induced minimum degree above k/2 so extraction
@@ -174,17 +161,16 @@ def dense_partition(g: Graph, k: int) -> PartitionResult:
                 "this should be impossible when min degree >= k"
             )
 
-    final_parts = tuple(tuple(sorted(p)) for p in parts)
-    for part in final_parts:
-        if len(part) < size_bound:
-            raise RuntimeError(f"part of size {len(part)} below bound {size_bound}")
-        ok, _ = _certified_subset(g, list(part), conn_bound)
+    for part in part_masks:
+        if part.bit_count() < size_bound:
+            raise RuntimeError(f"part of size {part.bit_count()} below bound {size_bound}")
+        ok, _ = _certified_subset(g, part, conn_bound)
         if not ok:
             raise RuntimeError("final part failed connectivity certification")
-    if len(final_parts) * k > 8 * n:
+    if len(part_masks) * k > 8 * n:
         raise RuntimeError("part count exceeds 8n/k; search defect")
     return PartitionResult(
-        parts=final_parts,
-        per_part_connectivity=tuple(conn_bound for _ in final_parts),
+        parts=tuple(tuple(_bits(part)) for part in part_masks),
+        per_part_connectivity=tuple(conn_bound for _ in part_masks),
         seed_subgraphs=tuple(seeds),
     )

@@ -45,6 +45,7 @@ from sprinkle import (
     disjoint_cliques,
     gnm,
     induced_subgraph,
+    is_connected,
     is_k_connected,
     max_clique,
     max_subgraph_density,
@@ -56,7 +57,7 @@ from sprinkle import (
 )
 from sprinkle.checkers.connectivity import _components, _disjoint_paths
 from sprinkle.checkers.distance import _screened_sources
-from sprinkle.core import _bits
+from sprinkle.core import _bits, vertex_mask
 
 
 def petersen():
@@ -456,7 +457,7 @@ def test_disjoint_paths_match_split_flow_min_cut(g, data):
         others = [v for v in range(g.n) if v != t]
         members = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
     masks = [g.adjacency_mask(v) for v in range(g.n)]
-    flow, in_reach, out_reach = _disjoint_paths(masks, t, g.n, s=s, members=members)
+    flow, in_reach, out_reach = _disjoint_paths(masks, t, g.n, s=s, members=vertex_mask(members))
     assert (flow, set(_bits(in_reach)), set(_bits(out_reach))) == split_flow_reach(
         g, t, s=s, members=members)
 
@@ -485,6 +486,7 @@ def test_connected_components_match_neighbor_bfs(n, p, seed):
     # sparse graphs up to n=70 so masks cross 64 bits and components vary
     g = random_graph(random.Random(seed), n, p)
     assert connected_components(g) == bfs_components(g)
+    assert is_connected(g) == (len(bfs_components(g)) == 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -494,7 +496,8 @@ def test_components_in_mask_match_induced_bfs(n, p, seed, data):
     full = (1 << n) - 1
     alive = data.draw(st.sampled_from([0, full]) | st.integers(0, full))
     ids = _bits(alive)
-    expect = [[ids[i] for i in comp] for comp in bfs_components(induced_subgraph(g, ids))]
+    expect = [vertex_mask(ids[i] for i in comp)
+              for comp in bfs_components(induced_subgraph(g, ids))]
     masks = [g.adjacency_mask(v) for v in range(n)]
     assert _components(masks, alive) == expect
 

@@ -176,6 +176,27 @@ def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     assert code == 2 and "unknown config keys" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("generator", "two_cliques"),
+    ("property", "connected"),
+    ("master_seed", {"stream_id": 3}),
+])
+def test_sweep_rejects_malformed_field(tmp_path, capsys, field, value):
+    cfg = {
+        "generator": {"name": "two_cliques", "params": {"n": 10}},
+        "model": "uniform",
+        "grid": [0, 2],
+        "trials": 2,
+        "property": {"name": "connected", "params": {}},
+        "master_seed": {"seed": 1, "stream_id": 0},
+        field: value,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 2 and out == "" and err.startswith("error:") and field in err
+
+
 def test_preset_emit_and_run(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "preset", "--name", "thm6", "--n", "36", "d=0.25", "k=3")
     assert code == 0

@@ -186,7 +186,7 @@ def test_adjacency_symmetric_no_loops(g):
 def test_edges_within_matches_pair_count(g, data):
     ids = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n, unique=True))
     assert vertex_mask(ids) == sum(1 << v for v in ids)
-    assert edges_within(g, ids) == sum(g.has_edge(u, v) for u, v in combinations(ids, 2))
+    assert edges_within(g, vertex_mask(ids)) == sum(g.has_edge(u, v) for u, v in combinations(ids, 2))
 
 
 @settings(max_examples=60, deadline=None)
