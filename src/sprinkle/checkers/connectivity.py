@@ -4,9 +4,11 @@ super-source over that set against every outside vertex.  The paths are
 augmenting paths of the vertex-split graph, searched on the adjacency
 bitmasks without building a flow network.
 
-Two exact shortcuts keep the common cases cheap: a vertex of degree
-below k yields its neighborhood as an immediate separator, and minimum
-degree at least (n + k - 2) / 2 forces k-connectivity outright.
+Three exact shortcuts keep the common cases cheap: a vertex of degree
+below k yields its neighborhood as an immediate separator, minimum
+degree at least (n + k - 2) / 2 forces k-connectivity outright, and an
+outside vertex with k neighbours among the k-set and the outside
+vertices already passed needs no flow of its own.
 """
 
 from __future__ import annotations
@@ -137,7 +139,18 @@ def _disjoint_paths(masks, t: int, k: int, s: int | None = None, members: int = 
 def is_k_connected(g: Graph, k: int) -> PropertyVerdict:
     """True iff n > k and no vertex cut of size below k exists.  On a
     negative answer the witness is a separator of size below k, except
-    in the n <= k case which is certified by the order alone."""
+    in the n <= k case which is certified by the order alone.
+
+    Even's schedule: the k-set {0, ..., k-1} must be pairwise joined by
+    k disjoint paths, and every outside vertex u must reach the k-set by
+    a fan of k disjoint paths.  The fans are checked in vertex order,
+    and u skips its flow when it has k neighbours in `linked`, the
+    k-set plus the outside vertices already passed.  Proof: a cut C with
+    |C| < k and u not in C misses one of those neighbours, x.  If x is
+    in the k-set, u reaches it past C; otherwise x has a fan of k
+    disjoint paths into the k-set, which C cannot all cut.  Skipped
+    vertices pass, so the first failing vertex and its witness are the
+    ones the full schedule finds."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
@@ -172,17 +185,16 @@ def is_k_connected(g: Graph, k: int) -> PropertyVerdict:
                 # vertices cut at their split arc
                 return PropertyVerdict(False, witness=frozenset(_bits(in_reach & ~out_reach)))
 
-    members = (1 << k) - 1
+    # linked: the members and every vertex already shown to pass
+    linked = members = (1 << k) - 1
     for u in range(k, g.n):
-        if masks[u] & members == members:
-            # u adjacent to the whole k-set: any small cut separating u
-            # would have to contain all k of them, impossible.
-            continue
-        flow, in_reach, out_reach = _disjoint_paths(masks, u, k, members=members)
-        if flow < k:
-            # plus the members cut at their super-source arc
-            sep = in_reach & ~out_reach | members & ~in_reach
-            return PropertyVerdict(False, witness=frozenset(_bits(sep)))
+        if (masks[u] & linked).bit_count() < k:
+            flow, in_reach, out_reach = _disjoint_paths(masks, u, k, members=members)
+            if flow < k:
+                # plus the members cut at their super-source arc
+                sep = in_reach & ~out_reach | members & ~in_reach
+                return PropertyVerdict(False, witness=frozenset(_bits(sep)))
+        linked |= 1 << u
     return PropertyVerdict(True)
 
 

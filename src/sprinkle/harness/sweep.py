@@ -222,9 +222,13 @@ class SweepConfig:
         if isinstance(seed_doc, dict):
             if "seed" not in seed_doc:
                 raise ValueError(f"master_seed needs a seed, got {seed_doc!r}")
-            seed = SeedSpec(int(seed_doc["seed"]), int(seed_doc.get("stream_id", 0)))
+            parts = (seed_doc["seed"], seed_doc.get("stream_id", 0))
         else:
-            seed = SeedSpec(int(seed_doc))
+            parts = (seed_doc, 0)
+        # int() would truncate 1.9 to 1 and read True as 1
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in parts):
+            raise ValueError(f"master_seed must hold integers, got {seed_doc!r}")
+        seed = SeedSpec(*parts)
         return SweepConfig(
             generator=doc["generator"],
             model=doc["model"],

@@ -31,6 +31,7 @@ from oracles import (
 from sprinkle import (
     Graph,
     SeedSpec,
+    augment_uniform,
     blocked_gnp,
     chromatic_number,
     clique_number,
@@ -55,6 +56,7 @@ from sprinkle import (
     two_cliques,
     vertex_connectivity,
 )
+import sprinkle.checkers.connectivity as connectivity_mod
 from sprinkle.checkers.connectivity import _components, _disjoint_paths
 from sprinkle.checkers.distance import _screened_sources
 from sprinkle.core import _bits, vertex_mask
@@ -434,13 +436,52 @@ def test_k0_and_disconnected_conventions():
     assert not v.holds and v.witness == frozenset()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(gnp_graphs(), cliques_plus_edges()))
+@st.composite
+def relabelled_cliques_plus_edges(draw, max_n=40):
+    # cliques plus up to 3n random edges, vertices shuffled so that the
+    # k-set {0, ..., k-1} spans several cliques
+    n = draw(st.integers(2, max_n))
+    h = disjoint_cliques(n, draw(st.integers(1, max(1, n // 2))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    extra = [tuple(rng.sample(range(n), 2)) for _ in range(draw(st.integers(0, 3 * n)))]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in h.with_edges(extra).edges()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gnp_graphs(), cliques_plus_edges(), relabelled_cliques_plus_edges()))
 def test_is_k_connected_matches_split_flow_oracle(g):
-    # same verdict, reason and separator as Dinic on the built split network
-    for k in range(7):
+    # same verdict, reason and separator as Dinic on the built split
+    # network; the oracle runs a fan flow for every outside vertex not
+    # joined to the whole k-set, so a linked-neighbour skip that changed
+    # any verdict or witness would show
+    for k in range(9):
         v = is_k_connected(g, k)
         assert (v.holds, v.witness, v.reason) == split_flow_is_k_connected(g, k), k
+
+
+@pytest.mark.parametrize("n, s, k", [(120, 13, 3), (120, 13, 6), (240, 25, 3)])
+def test_k_connected_flows_at_most_k_per_later_clique(monkeypatch, n, s, k):
+    # clique 0 holds the k-set, so its other vertices skip their flows,
+    # and in every later clique only the first k vertices can need one
+    flows = []
+
+    def counted(*args, **kwargs):
+        flows.append(1)
+        return _disjoint_paths(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity_mod, "_disjoint_paths", counted)
+    h = disjoint_cliques(n, s)
+    t = n // s
+    positives = 0
+    for m in (k * t, 3 * k * t, 12 * k * t):
+        for seed in range(4):
+            flows.clear()
+            if is_k_connected(augment_uniform(h, m, SeedSpec(seed)).graph, k).holds:
+                positives += 1
+                assert len(flows) <= k * (t - 1), (m, seed, len(flows))
+    assert positives >= 4
 
 
 @settings(max_examples=200, deadline=None)

@@ -180,6 +180,11 @@ def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     ("generator", "two_cliques"),
     ("property", "connected"),
     ("master_seed", {"stream_id": 3}),
+    ("master_seed", {"seed": 1.9, "stream_id": True}),
+    ("master_seed", {"seed": 1, "stream_id": 0.5}),
+    ("master_seed", 1.5),
+    ("master_seed", True),
+    ("master_seed", "1"),
 ])
 def test_sweep_rejects_malformed_field(tmp_path, capsys, field, value):
     cfg = {
