@@ -233,7 +233,7 @@ def cmd_preset(args) -> int:
         params["master_seed"] = args.seed
     if args.csv:
         params["output_path"] = args.csv
-    samples = int(params.pop("samples", 100)) if args.bound_check else None
+    samples = params.pop("samples", 100) if args.bound_check else None
     config = theorem_preset(args.name, args.n, params)
     if args.bound_check:
         if "d" not in params or "k" not in params:
@@ -242,7 +242,7 @@ def cmd_preset(args) -> int:
             args.name,
             args.n,
             params["d"],
-            int(params["k"]),
+            params["k"],
             samples=samples,
             seed=args.seed or 0,
         )

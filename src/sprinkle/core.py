@@ -10,7 +10,7 @@ The non-edge pool is two position arrays (u, v), u < v, in
 lexicographic order, unpacked from the mask bytes by numpy on the first
 _pool() call and kept on the graph, so a base graph shared by many
 trials builds its pool once; the tuple of pairs non_edges() returns is
-built from those arrays only when asked for, and kept as well.
+built from those arrays on each call.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _or_edges(masks: list[int], edges: Iterable[Sequence[int]]) -> list[int]:
 class Graph:
     """Undirected simple graph on vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "_masks", "_edge_count", "_pool", "_non_edges")
+    __slots__ = ("n", "_masks", "_edge_count", "_pool")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
@@ -88,7 +88,6 @@ class Graph:
             edge_count = sum(m.bit_count() for m in masks) // 2
         self._edge_count = edge_count
         self._pool = None  # filled by the first _pool(self)
-        self._non_edges = None  # filled by the first non_edges(self)
 
     @property
     def edge_count(self) -> int:
@@ -230,14 +229,10 @@ def _pool(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def non_edges(g: Graph) -> tuple[Edge, ...]:
-    """All unordered pairs not in E, in lexicographic order.  The tuple
-    is built from _pool(g) on the first call and kept on g, so later
-    calls return the same object."""
-    pairs = g._non_edges
-    if pairs is None:
-        u, v = _pool(g)
-        pairs = g._non_edges = tuple(zip(u.tolist(), v.tolist()))
-    return pairs
+    """All unordered pairs not in E, in lexicographic order, built from
+    _pool(g) on each call."""
+    u, v = _pool(g)
+    return tuple(zip(u.tolist(), v.tolist()))
 
 
 # ---------------------------------------------------------------------------

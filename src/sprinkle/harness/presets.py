@@ -1,12 +1,14 @@
 """Packaged sweep experiments for the headline threshold statements:
 fixed-clique appearance, diameter 5 / 3 / 2, and k-connectivity.
 
-Each preset knows its base-graph family, the property to check, and the
-lower/upper reference formulas for m; the sweep grid is a geometric
-12-point span of [lower/4, 4*upper] clipped to feasible m.  Asymptotic
-omega(.) slack terms are concrete pilot-calibrated constants, recorded
-in PRESET_SLACKS together with the seed of the calibration run (see
-demos/pilot_calibration.py to reproduce them).
+Each preset is one function (n, params) -> (lower, upper, max_m,
+generator, property), kept in _PRESETS with the params it takes: the
+reference formulas for m, the base's non-edge count, its family and the
+property to check.  The sweep grid is a geometric 12-point span of
+[lower/4, 4*upper] clipped to [0, max_m].  Asymptotic omega(.) slack
+terms are concrete pilot-calibrated constants, recorded in PRESET_SLACKS
+with the seed of the calibration run (demos/pilot_calibration.py
+reproduces them).
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from fractions import Fraction
 from ..augment import augment_uniform
 from ..checkers import PropertyVerdict, is_k_connected
 from ..checkers.connectivity import _components
-from ..core import _bits, density_param, vertex_mask
+from ..core import density_param, vertex_mask
 from ..generators import disjoint_cliques, nearly_equal_parts
 from ..seeds import SeedSpec, as_seed
-from .sweep import SweepConfig
+from .sweep import SweepConfig, _int
 
 # omega(.) surrogates, calibrated by pilot sweeps at desk scale.
 # Upper-bound formulas are caps, not expected crossings: asymptotic
@@ -33,44 +35,23 @@ PRESET_SLACKS = {
     "thm6": {"omega_const": 8, "calibration_seed": 20260801},
 }
 
-# params every preset accepts, and each preset's own
-_COMMON_PARAMS = frozenset({"trials", "master_seed", "output_path"})
-_PRESET_PARAMS = {
-    "thm2": frozenset({"r", "r0", "d"}),
-    "thm3": frozenset({"d"}),
-    "thm4": frozenset({"d", "side"}),
-    "thm5": frozenset({"d"}),
-    "thm6": frozenset({"d", "k"}),
-}
-
-PRESET_NAMES = tuple(_PRESET_PARAMS)
-
 
 def _ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def _require(params: dict, key: str, name: str):
-    if key not in params:
-        raise ValueError(f"preset {name} needs the parameter {key}=...")
-    return params[key]
-
-
-def geometric_grid(lower: float, upper: float, max_m: int, points: int = 12) -> tuple[int, ...]:
-    """Integer geometric grid spanning [lower/4, 4*upper], clipped to
-    [0, max_m], deduplicated and strictly increasing.  When the span
-    dips below 1 the grid picks up m=0, anchoring curves that start at
-    probability zero."""
+def geometric_grid(lower: float, upper: float, max_m: int) -> tuple[int, ...]:
+    """Integer geometric 12-point grid spanning [lower/4, 4*upper],
+    clipped to [0, max_m], deduplicated and strictly increasing.  When
+    the span dips below 1 the grid picks up m=0, anchoring curves that
+    start at probability zero."""
     lo = max(0.25, lower / 4)
     hi = min(float(max_m), 4 * upper)
-    if hi < lo:
-        hi = lo
-    if hi == lo:
+    if hi <= lo:
         return (int(round(lo)),)
     ratio = hi / lo
-    values = sorted({int(round(lo * ratio ** (i / (points - 1)))) for i in range(points)})
-    values = [v for v in values if 0 <= v <= max_m]
-    return tuple(values)
+    values = sorted({int(round(lo * ratio ** (i / 11))) for i in range(12)})
+    return tuple(v for v in values if 0 <= v <= max_m)
 
 
 def clique_exponent(r: int, r0: int) -> Fraction:
@@ -80,123 +61,135 @@ def clique_exponent(r: int, r0: int) -> Fraction:
     return 2 - Fraction(2, blocks - 1)
 
 
+def _thm2(n: int, p: dict) -> tuple:
+    """K_r on the complete r0-partite base; d defaults to (r0-1)/r0."""
+    r, r0 = p["r"], p["r0"]
+    if not (r > r0 >= 2):
+        raise ValueError(f"need r > r0 >= 2, got r={r}, r0={r0}")
+    d = p.get("d") or Fraction(r0 - 1, r0)
+    lo_d, hi_d = Fraction(r0 - 2, r0 - 1), Fraction(r0 - 1, r0)
+    if not (lo_d < d <= hi_d):
+        raise ValueError(f"thm2 needs d in ({lo_d}, {hi_d}], got {d}")
+    parts = nearly_equal_parts(n, r0)
+    ref = float(n) ** float(clique_exponent(r, r0))
+    return (ref, ref, sum(s * (s - 1) // 2 for s in parts),
+            {"name": "complete_multipartite", "params": {"parts": parts}},
+            {"name": "contains_kr", "params": {"r": r}})
+
+
+def _blocked(n: int, d: Fraction, prop: dict) -> tuple:
+    """(max_m, generator, prop) on the blocked G(n, p) base of thm3/thm4."""
+    if 2 * float(d) + n ** (-1 / 3) > 1:
+        raise ValueError("blocked base graph needs 2d + n^(-1/3) <= 1")
+    # cross pairs are always available
+    return ((n // 2) * (n - n // 2),
+            {"name": "blocked_gnp", "params": {"n": n, "d": str(d)}}, prop)
+
+
+def _thm3(n: int, p: dict) -> tuple:
+    upper = float(PRESET_SLACKS["thm3"]["omega_const"])
+    return (1.0, upper) + _blocked(n, p["d"], {"name": "diameter_le", "params": {"t": 5}})
+
+
+def _thm4(n: int, p: dict) -> tuple:
+    """diam <= 3 (side diam3, the default) or diam >= 5 (side diam5)."""
+    if not p["d"] < Fraction(1, 2):
+        raise ValueError("thm4 needs d < 1/2")
+    side = p.get("side", "diam3")
+    if side not in ("diam3", "diam5"):
+        raise ValueError(f"thm4 side must be diam3 or diam5, got {side!r}")
+    prop = ({"name": "diameter_le", "params": {"t": 3}} if side == "diam3"
+            else {"name": "diameter_ge", "params": {"t": 5}})
+    d = float(p["d"])
+    lower = math.log(n) / (-2 * math.log(1 - 2 * d))
+    upper = (1 - d) / (d * d) * math.log(n)
+    return (lower, upper) + _blocked(n, p["d"], prop)
+
+
+def _thm5(n: int, p: dict) -> tuple:
+    """Diameter 2 on two_cliques(n), whose density is (n//2 - 1)/n."""
+    d = Fraction(n // 2 - 1, n)
+    return (0.5 * n * math.log(n), float((1 - d) / d) * n * math.log(n),
+            (n // 2) * (n - n // 2),
+            {"name": "two_cliques", "params": {"n": n}},
+            {"name": "diameter_le", "params": {"t": 2}})
+
+
+def _thm6(n: int, p: dict) -> tuple:
+    """k-connectivity on n // s disjoint cliques of size s = ceil(dn + 1)."""
+    d, k = p["d"], p["k"]
+    if k < 1:
+        raise ValueError("thm6 needs k >= 1")
+    s = _ceil_frac(d * n + 1)
+    if s > n:
+        raise ValueError(f"clique size {s} exceeds n={n}; lower d")
+    return (k * (n // s) / 2, float(640 * k / (float(d) ** 2)),
+            n * (n - 1) // 2 - disjoint_cliques(n, s).edge_count,
+            {"name": "disjoint_cliques", "params": {"n": n, "clique_size": s}},
+            {"name": "k_connected", "params": {"k": k}})
+
+
+# name -> (function, required params, optional params); a missing
+# required param is reported in the order listed
+_PRESETS = {
+    "thm2": (_thm2, ("r", "r0"), ("d",)),
+    "thm3": (_thm3, ("d",), ()),
+    "thm4": (_thm4, ("d",), ("side",)),
+    "thm5": (_thm5, (), ()),
+    "thm6": (_thm6, ("d", "k"), ()),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+# params every preset accepts, and the params that are integers
+_COMMON_PARAMS = frozenset({"trials", "master_seed", "output_path"})
+_INTEGER_PARAMS = frozenset({"trials", "r", "r0", "k"})
+
+
+def _preset(name: str, n: int, params: dict) -> tuple[dict, tuple]:
+    """The params, checked against the preset's names and read (integers
+    checked, not truncated, and d as an exact Fraction), and the
+    preset's record for them."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    _, required, optional = _PRESETS[name]
+    unknown = set(params) - _COMMON_PARAMS - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"preset {name} does not take the params {sorted(unknown)}")
+    for key in required:
+        if key not in params:
+            raise ValueError(f"preset {name} needs the parameter {key}=...")
+    p = {key: _int(params, key, f"preset {name}") if key in _INTEGER_PARAMS else value
+         for key, value in params.items()}
+    if p.get("d") is not None:  # thm2 reads d=None as its default
+        p["d"] = density_param(p["d"])
+    return p, _PRESETS[name][0](n, p)
+
+
 def reference_formulas(name: str, n: int, params: dict) -> dict:
     """Lower/upper reference m for each preset, as floats (natural log)."""
-    if name == "thm2":
-        r, r0 = int(_require(params, "r", "thm2")), int(_require(params, "r0", "thm2"))
-        ref = float(n) ** float(clique_exponent(r, r0))
-        return {"lower": ref, "upper": ref}
-    if name == "thm3":
-        c = PRESET_SLACKS["thm3"]["omega_const"]
-        return {"lower": 1.0, "upper": float(c)}
-    if name == "thm4":
-        d = float(density_param(_require(params, "d", "thm4")))
-        if not d < 0.5:
-            raise ValueError("thm4 needs d < 1/2")
-        upper = (1 - d) / (d * d) * math.log(n)
-        lower = math.log(n) / (-2 * math.log(1 - 2 * d))
-        return {"lower": lower, "upper": upper}
-    if name == "thm5":
-        d = params.get("d")
-        d = Fraction(n // 2 - 1, n) if d is None else density_param(d)
-        lower = 0.5 * n * math.log(n)
-        upper = float((1 - d) / d) * n * math.log(n)
-        return {"lower": lower, "upper": upper}
-    if name == "thm6":
-        d = density_param(_require(params, "d", "thm6"))
-        k = int(_require(params, "k", "thm6"))
-        s = _ceil_frac(d * n + 1)
-        t = n // s
-        lower = k * t / 2
-        upper = float(640 * k / (float(d) ** 2))
-        return {"lower": lower, "upper": upper}
-    raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    _, (lower, upper, *_) = _preset(name, n, params)
+    return {"lower": lower, "upper": upper}
 
 
 def theorem_preset(name: str, n: int, params: dict | None = None) -> SweepConfig:
     """Fully populated SweepConfig for a named preset experiment.
 
     Common optional params: trials (default 200), master_seed and
-    output_path.  Per-preset params: thm2 needs r, r0 and
-    optionally d; thm3/thm4/thm5 take d (thm4 also side in
-    {"diam3", "diam5"}); thm6 needs d and k.  Any other key is rejected.
+    output_path.  Per-preset params: thm2 needs r, r0 and optionally d;
+    thm3 and thm4 need d (thm4 also takes side in {"diam3", "diam5"});
+    thm5 takes none; thm6 needs d and k.  Any other key, and a bool or
+    non-integer for trials, r, r0 or k, is rejected.
     """
-    params = dict(params or {})
-    if name not in _PRESET_PARAMS:
-        raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
-    unknown = set(params) - _COMMON_PARAMS - _PRESET_PARAMS[name]
-    if unknown:
-        raise ValueError(f"preset {name} does not take the params {sorted(unknown)}")
-    trials = int(params.pop("trials", 200))
-    master_seed = as_seed(params.pop("master_seed", 0))
-    output_path = params.pop("output_path", None)
-
-    if name == "thm2":
-        r, r0 = int(_require(params, "r", "thm2")), int(_require(params, "r0", "thm2"))
-        if not (r > r0 >= 2):
-            raise ValueError(f"need r > r0 >= 2, got r={r}, r0={r0}")
-        d = params.get("d")
-        d = Fraction(r0 - 1, r0) if d is None else density_param(d)
-        lo_d, hi_d = Fraction(r0 - 2, r0 - 1), Fraction(r0 - 1, r0)
-        if not (lo_d < d <= hi_d):
-            raise ValueError(
-                f"thm2 needs d in ({lo_d}, {hi_d}], got {d}"
-            )
-        parts = nearly_equal_parts(n, r0)
-        max_m = sum(s * (s - 1) // 2 for s in parts)
-        refs = reference_formulas(name, n, params)
-        grid = geometric_grid(refs["lower"], refs["upper"], max_m)
-        generator = {"name": "complete_multipartite", "params": {"parts": parts}}
-        prop = {"name": "contains_kr", "params": {"r": r}}
-    elif name in ("thm3", "thm4"):
-        d = density_param(_require(params, "d", name))
-        if name == "thm4" and not d < Fraction(1, 2):
-            raise ValueError("thm4 needs d < 1/2")
-        if 2 * float(d) + n ** (-1 / 3) > 1:
-            raise ValueError("blocked base graph needs 2d + n^(-1/3) <= 1")
-        refs = reference_formulas(name, n, params)
-        max_m = (n // 2) * (n - n // 2)  # cross pairs are always available
-        grid = geometric_grid(refs["lower"], refs["upper"], max_m)
-        generator = {"name": "blocked_gnp", "params": {"n": n, "d": str(d)}}
-        if name == "thm3":
-            prop = {"name": "diameter_le", "params": {"t": 5}}
-        else:
-            side = params.get("side", "diam3")
-            if side == "diam3":
-                prop = {"name": "diameter_le", "params": {"t": 3}}
-            elif side == "diam5":
-                prop = {"name": "diameter_ge", "params": {"t": 5}}
-            else:
-                raise ValueError(f"thm4 side must be diam3 or diam5, got {side!r}")
-    elif name == "thm5":
-        refs = reference_formulas(name, n, params)
-        max_m = (n // 2) * (n - n // 2)
-        grid = geometric_grid(refs["lower"], refs["upper"], max_m)
-        generator = {"name": "two_cliques", "params": {"n": n}}
-        prop = {"name": "diameter_le", "params": {"t": 2}}
-    else:  # thm6
-        d = density_param(_require(params, "d", "thm6"))
-        k = int(_require(params, "k", "thm6"))
-        if k < 1:
-            raise ValueError("thm6 needs k >= 1")
-        s = _ceil_frac(d * n + 1)
-        if s > n:
-            raise ValueError(f"clique size {s} exceeds n={n}; lower d")
-        h = disjoint_cliques(n, s)
-        max_m = n * (n - 1) // 2 - h.edge_count
-        refs = reference_formulas(name, n, params)
-        grid = geometric_grid(refs["lower"], refs["upper"], max_m)
-        generator = {"name": "disjoint_cliques", "params": {"n": n, "clique_size": s}}
-        prop = {"name": "k_connected", "params": {"k": k}}
-
+    p, (lower, upper, max_m, generator, prop) = _preset(name, n, params or {})
     return SweepConfig(
         generator=generator,
         model="uniform",
-        grid=grid,
-        trials=trials,
+        grid=geometric_grid(lower, upper, max_m),
+        trials=p.get("trials", 200),
         property=prop,
-        master_seed=master_seed,
-        output_path=output_path,
+        master_seed=as_seed(p.get("master_seed", 0)),
+        output_path=p.get("output_path"),
     )
 
 
@@ -220,12 +213,10 @@ def deterministic_lower_bound_check(
     """
     if name != "thm6":
         raise ValueError(f"deterministic bound is only defined for thm6, got {name!r}")
-    d = density_param(d)
+    _, (_, _, max_m, generator, prop) = _preset(name, n, {"d": d, "k": k})
+    s, k = generator["params"]["clique_size"], prop["params"]["k"]
+    samples = _int({"samples": samples}, "samples", "thm6 bound check")
     seed = as_seed(seed)
-    s = _ceil_frac(d * n + 1)
-    if s > n:
-        raise ValueError(f"clique size {s} exceeds n={n}")
-    h = disjoint_cliques(n, s)
     t = n // s
     if t < 2:
         raise ValueError("bound needs at least two cliques; lower d or raise n")
@@ -236,29 +227,20 @@ def deterministic_lower_bound_check(
     # pigeonhole: 2 * max_r < k * t always, so some clique sees < k edges
     if not 2 * max_r < k * t:
         raise RuntimeError("pigeonhole arithmetic failed; defect")
+    if max_r > max_m:
+        raise ValueError("bound size exceeds available non-edges; parameters invalid")
 
     # the components of a disjoint union of cliques are its cliques
+    h = disjoint_cliques(n, s)
     full = (1 << n) - 1
     cliques = _components(h.adjacency_masks(), full)
-    clique_of = [0] * n
-    for ci, members in enumerate(cliques):
-        for v in _bits(members):
-            clique_of[v] = ci
-
-    if max_r > h.n * (h.n - 1) // 2 - h.edge_count:
-        raise ValueError("bound size exceeds available non-edges; parameters invalid")
     for i in range(samples):
         aug = augment_uniform(h, max_r, seed.derive(i))
-        incident = [0] * t
-        for (u, v) in aug.added:
-            cu, cv = clique_of[u], clique_of[v]
-            incident[cu] += 1
-            if cv != cu:
-                incident[cv] += 1
-        # check the certificate on the graph, not the counts: the least-hit
-        # clique has < k R-endpoints, and deleting them cuts the graph
+        # check the certificate on the graph: the clique holding the fewest
+        # R-endpoints holds no more than the least-hit clique, so fewer
+        # than k, and deleting them cuts the graph
         ends = vertex_mask(v for edge in aug.added for v in edge)
-        cut = ends & cliques[min(range(t), key=incident.__getitem__)]
+        cut = min((ends & c for c in cliques), key=int.bit_count)
         if cut.bit_count() >= k or len(_components(aug.graph.adjacency_masks(), full & ~cut)) < 2:
             raise RuntimeError("pigeonhole certificate fails on a sample; defect")
         verdict = is_k_connected(aug.graph, k)

@@ -21,6 +21,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, asdict
 from fractions import Fraction
+from operator import index
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -53,28 +54,41 @@ Z95 = 1.959963984540054
 # registries
 # ---------------------------------------------------------------------------
 
+def _int(params: dict, key: str, field: str = "generator") -> int:
+    """params[key] as an int.  int() would truncate 12.7 to 12 and read
+    True as 1, so a bool or a non-integer is a ValueError naming the
+    field and the key."""
+    value = params[key]
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} param {key} must be an integer, got {value!r}")
+
+
 def _gen_complete_multipartite(params, seed):
     return complete_multipartite(list(params["parts"]))
 
 
 def _gen_two_cliques(params, seed):
-    return two_cliques(int(params["n"]))
+    return two_cliques(_int(params, "n"))
 
 
 def _gen_disjoint_cliques(params, seed):
-    return disjoint_cliques(int(params["n"]), int(params["clique_size"]))
+    return disjoint_cliques(_int(params, "n"), _int(params, "clique_size"))
 
 
 def _gen_blocked_gnp(params, seed):
-    return blocked_gnp(int(params["n"]), density_param(params["d"]), seed)
+    return blocked_gnp(_int(params, "n"), density_param(params["d"]), seed)
 
 
 def _gen_gnm(params, seed):
-    return gnm(int(params["n"]), int(params["M"]), seed)
+    return gnm(_int(params, "n"), _int(params, "M"), seed)
 
 
 def _gen_mader_tightness(params, seed):
-    return mader_tightness_graph(int(params["n"]), int(params["k"]), seed)
+    return mader_tightness_graph(_int(params, "n"), _int(params, "k"), seed)
 
 
 GENERATORS: dict[str, Callable] = {
@@ -84,10 +98,10 @@ GENERATORS: dict[str, Callable] = {
     "blocked_gnp": _gen_blocked_gnp,
     "gnm": _gen_gnm,
     "mader_tightness": _gen_mader_tightness,
-    "complete": lambda p, s: complete_graph(int(p["n"])),
-    "empty": lambda p, s: empty_graph(int(p["n"])),
-    "path": lambda p, s: path_graph(int(p["n"])),
-    "cycle": lambda p, s: cycle_graph(int(p["n"])),
+    "complete": lambda p, s: complete_graph(_int(p, "n")),
+    "empty": lambda p, s: empty_graph(_int(p, "n")),
+    "path": lambda p, s: path_graph(_int(p, "n")),
+    "cycle": lambda p, s: cycle_graph(_int(p, "n")),
 }
 
 # GENERATORS entries whose graph does not depend on the seed.  Listing
@@ -105,7 +119,7 @@ SEED_FREE_GENERATORS = frozenset({
 
 
 def _diameter_ge(g: Graph, p: dict) -> bool:
-    t = int(p["t"])
+    t = _int(p, "t", "property")
     if t <= 0:
         return True
     return not diameter_at_most(g, t - 1)
@@ -113,10 +127,10 @@ def _diameter_ge(g: Graph, p: dict) -> bool:
 
 # name -> (predicate(graph, params) -> bool, +1 increasing / -1 decreasing)
 PROPERTIES: dict[str, tuple[Callable, int]] = {
-    "contains_kr": (lambda g, p: bool(contains_kr(g, int(p["r"]))), +1),
-    "diameter_le": (lambda g, p: bool(diameter_at_most(g, int(p["t"]))), +1),
+    "contains_kr": (lambda g, p: bool(contains_kr(g, _int(p, "r", "property"))), +1),
+    "diameter_le": (lambda g, p: bool(diameter_at_most(g, _int(p, "t", "property"))), +1),
     "diameter_ge": (_diameter_ge, -1),
-    "k_connected": (lambda g, p: bool(is_k_connected(g, int(p["k"]))), +1),
+    "k_connected": (lambda g, p: bool(is_k_connected(g, _int(p, "k", "property"))), +1),
     "connected": (lambda g, p: is_connected(g), +1),
 }
 

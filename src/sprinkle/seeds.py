@@ -9,6 +9,7 @@ output on every platform and no code ever touches global RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -32,6 +33,15 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
+        # a bool or a float would draw a stream and hash as another value
+        for field in ("seed", "stream_id"):
+            value = getattr(self, field)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, field, index(value))
+            except TypeError:
+                raise ValueError(f"{field} must be an integer, got {value!r}") from None
         if not (0 <= self.seed <= _MASK64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not (0 <= self.stream_id <= _MASK64):
@@ -56,8 +66,6 @@ class SeedSpec:
 
 
 def as_seed(value) -> SeedSpec:
-    if isinstance(value, SeedSpec):
-        return value
-    if isinstance(value, int):
-        return SeedSpec(value)
-    raise TypeError(f"cannot interpret {value!r} as a seed")
+    """value as a SeedSpec; anything but a SeedSpec or an integer seed is
+    a ValueError."""
+    return value if isinstance(value, SeedSpec) else SeedSpec(value)

@@ -185,6 +185,10 @@ def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     ("master_seed", 1.5),
     ("master_seed", True),
     ("master_seed", "1"),
+    ("generator", {"name": "two_cliques", "params": {"n": 12.7}}),
+    ("generator", {"name": "disjoint_cliques", "params": {"n": 12, "clique_size": "3"}}),
+    ("property", {"name": "k_connected", "params": {"k": True}}),
+    ("property", {"name": "diameter_le", "params": {"t": 2.0}}),
 ])
 def test_sweep_rejects_malformed_field(tmp_path, capsys, field, value):
     cfg = {
@@ -236,6 +240,22 @@ def test_preset_rejects_unknown_params(capsys):
     code, _, err = run_cli(capsys, "preset", "--name", "thm6", "--n", "36",
                            "d=0.25", "k=3", "samples=5")
     assert code == 2 and "['samples']" in err
+
+
+@pytest.mark.parametrize("params, key", [
+    (["master_seed=1.5"], "seed"),
+    (["trials=2.7"], "trials"),
+    (["trials=true"], "trials"),
+])
+def test_preset_rejects_non_integer_params(capsys, params, key):
+    code, out, err = run_cli(capsys, "preset", "--name", "thm5", "--n", "60", *params)
+    assert code == 2 and out == "" and err.startswith("error:") and key in err
+
+
+def test_preset_bound_check_rejects_non_integer_samples(capsys):
+    code, out, err = run_cli(capsys, "preset", "--name", "thm6", "--n", "60", "d=0.2",
+                             "k=4", "samples=2.5", "--bound-check")
+    assert code == 2 and out == "" and err.startswith("error:") and "samples" in err
 
 
 def test_exit_code_nonzero_on_bad_input(tmp_path, capsys):

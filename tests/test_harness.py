@@ -596,3 +596,17 @@ def test_seed_derivation_distinguishes_cells():
     assert len(seen) == 1000
     assert master.derive(1, 2) != master.derive(2, 1)
     assert master.derive(1, 2) == master.derive(1, 2)
+
+
+@pytest.mark.parametrize("seed, stream_id", [
+    (1.5, 0), (True, 0), ("1", 0), (1, 0.5), (1, False),
+])
+def test_seed_spec_rejects_non_integers(seed, stream_id):
+    # SeedSpec(True) would draw seed 1's stream yet hash as "seed": true
+    with pytest.raises(ValueError, match="must be an integer"):
+        SeedSpec(seed, stream_id)
+
+
+def test_seed_spec_reads_integer_types_as_int():
+    spec = SeedSpec(np.uint64(7), np.int32(2))
+    assert spec == SeedSpec(7, 2) and type(spec.seed) is int and type(spec.stream_id) is int

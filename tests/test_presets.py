@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sprinkle import disjoint_cliques, is_k_connected
+from sprinkle import SeedSpec, disjoint_cliques, is_k_connected
 from sprinkle.harness import (
     PRESET_NAMES,
     PRESET_SLACKS,
@@ -13,7 +13,8 @@ from sprinkle.harness import (
     run_sweep,
     theorem_preset,
 )
-from sprinkle.harness.presets import clique_exponent
+from sprinkle.harness.presets import _preset, clique_exponent
+from sprinkle.harness.sweep import GENERATORS
 
 
 def test_clique_exponent_instances():
@@ -76,6 +77,104 @@ def test_unknown_params_rejected():
     cfg = theorem_preset("thm4", 100, {"d": "0.2", "side": "diam5", "trials": 3,
                                        "master_seed": 1, "output_path": None})
     assert cfg.trials == 3
+
+
+@pytest.mark.parametrize("name, params, key", [
+    ("thm5", {"trials": 2.7}, "trials"),
+    ("thm5", {"trials": True}, "trials"),
+    ("thm5", {"trials": "5"}, "trials"),
+    ("thm6", {"d": "0.25", "k": 3.5}, "k"),
+    ("thm6", {"d": "0.25", "k": True}, "k"),
+    ("thm2", {"r": 5.0, "r0": 2}, "r"),
+    ("thm2", {"r": 5, "r0": "2"}, "r0"),
+])
+def test_integer_params_are_checked_not_truncated(name, params, key):
+    with pytest.raises(ValueError, match=rf"preset {name} param {key} must be an integer"):
+        theorem_preset(name, 36, params)
+    with pytest.raises(ValueError, match="must be an integer"):
+        reference_formulas(name, 36, params)
+
+
+def test_seed_and_samples_are_checked_not_truncated():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        theorem_preset("thm5", 60, {"master_seed": 1.5})
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        deterministic_lower_bound_check("thm6", 60, "0.2", 4, samples=2.5)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        deterministic_lower_bound_check("thm6", 60, "0.2", 4.0, samples=2)
+
+
+def test_thm5_takes_no_d():
+    # its base is two_cliques(n) whatever d says, so d would move only the grid
+    with pytest.raises(ValueError, match=r"thm5 does not take the params \['d'\]"):
+        theorem_preset("thm5", 200, {"d": "0.25"})
+    with pytest.raises(ValueError, match=r"\['d'\]"):
+        reference_formulas("thm5", 200, {"d": "0.25"})
+
+
+# config_hash of each preset config, computed before the presets were
+# rewritten as one function each; a refactor that moves a config fails here
+PRESET_HASHES = [
+    ("thm2", 40, {"r": 5, "r0": 2},
+     "08817e6e7ccdcc51ece59167dceb809380b840398fb12cd350f19d29c7eb640b"),
+    ("thm2", 80, {"r": 9, "r0": 4, "trials": 10, "master_seed": 2},
+     "b1956f86bcb2f82d079395613b420b27975dfa1236e7e77b584904b9a34f6c2e"),
+    ("thm2", 120, {"r": 7, "r0": 3, "d": "0.6"},
+     "ad32666278d124f9c34fb1cdef6b2e96f50ce81b901fddce461b14064c92534b"),
+    ("thm3", 100, {"d": "0.15"},
+     "e6d3d93f82aead53d1ff6b60c3a5e528aaea07470bcfcd6c80ebdc6f42051b4d"),
+    ("thm3", 300, {"d": "0.25", "trials": 50},
+     "49fa28ffdde1147c69b6b2688e52fc6c354e342816378bd4e1e7590559356c26"),
+    ("thm4", 100, {"d": "0.2"},
+     "f4cd7b8098c4ddab822089520b0e1090c9705dcaead5be0ccc8893f92fa95c76"),
+    ("thm4", 150, {"d": "0.2", "side": "diam3", "master_seed": 7},
+     "78d781fabee3dcb46a501065e97741d0f6f26fc1ad0bfa35f06c78dde559dd39"),
+    ("thm4", 150, {"d": "0.15", "side": "diam5"},
+     "6adb2d8deb8232ec9a3e47e7d73fa79283caeb1c643cd84527df1b0673de07d7"),
+    ("thm5", 7, {},
+     "5edb4a86bd20106dca1fc9e2f64b1cd58bac1effc57648f52571bce2f516702a"),
+    ("thm5", 60, {},
+     "11d8d735690cec24d4f7405a2b608b9917004efedd0a0c0d4c4764df9a29a817"),
+    ("thm5", 200, {"trials": 4, "master_seed": 11},
+     "4919a882af0cecefa77920e1eadde9debcc35eb788b47cc72511b3754259de5d"),
+    ("thm6", 36, {"d": "0.25", "k": 3},
+     "7a8b6f73c4f06272971af2d21824aa0349c637dcc6b4b6ef8d90c95e927daf46"),
+    ("thm6", 120, {"d": "0.1", "k": 3, "trials": 1, "master_seed": 12},
+     "b494b5a528e32d98b5cf80fa73c546de6d346deddef376b210b909f9d8f3bc49"),
+    ("thm6", 480, {"d": "1/6", "k": 6},
+     "c21e125124e7d362eeec9772a4971004b303d8e139436a12357ba14ee9276c0b"),
+]
+
+
+@pytest.mark.parametrize("name, n, params, expected", PRESET_HASHES)
+def test_preset_config_hash_golden(name, n, params, expected):
+    assert theorem_preset(name, n, params).config_hash() == expected
+
+
+@pytest.mark.parametrize("name, n, params", [
+    ("thm2", 6, {"r": 3, "r0": 2}),
+    ("thm2", 41, {"r": 5, "r0": 2}),
+    ("thm2", 121, {"r": 9, "r0": 4}),
+    ("thm2", 480, {"r": 7, "r0": 3}),
+    ("thm5", 4, {}),
+    ("thm5", 61, {}),
+    ("thm5", 480, {}),
+    ("thm6", 12, {"d": "0.25", "k": 1}),
+    ("thm6", 37, {"d": "0.25", "k": 3}),
+    ("thm6", 121, {"d": "0.1", "k": 3}),
+    ("thm6", 480, {"d": "0.45", "k": 6}),
+    ("thm3", 100, {"d": "0.15"}),
+    ("thm4", 151, {"d": "0.2", "side": "diam5"}),
+])
+def test_grid_stays_within_the_base_non_edges(name, n, params):
+    # max_m is decided once, in the preset's record: exactly the non-edge
+    # count of a seed-free base, and the always-free cross pairs of the
+    # seeded blocked base
+    _, (_, _, max_m, generator, _) = _preset(name, n, params)
+    base = GENERATORS[generator["name"]](generator["params"], SeedSpec(n))
+    free = base.n * (base.n - 1) // 2 - base.edge_count
+    assert max_m == free if name in ("thm2", "thm5", "thm6") else max_m <= free
+    assert max(theorem_preset(name, n, params).grid) <= free
 
 
 def test_thm2_config_shape_and_hypothesis_guard():
