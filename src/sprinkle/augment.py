@@ -8,14 +8,17 @@ increasing (label, position) order.  So, as in the random graph
 process, one seed's edge sets are nested: its set at a smaller m (or p)
 is a prefix of its set at a larger one.
 
-The pool is read as core._pool's position arrays and the chosen pairs
-stay arrays (u, v) in label order; the tuple of pairs is built only
-when AugmentResult.added is read.
+A draw keeps the pool positions it picked and their labels unordered,
+and orders them only as far as they are read: AugmentResult.prefix(k)
+selects the first k pairs with np.argpartition and sorts just those, so
+a bisection that reads a few hundred pairs of a large draw never sorts
+the rest.  The arrays u, v and labels, the tuple added and the graph
+are built in label order on first read, from prefix(size) and
+core._pool's position arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,17 +28,58 @@ from .core import Edge, Graph, _pool, non_edges  # noqa: F401
 from .seeds import SeedSpec
 
 
-@dataclass(frozen=True, eq=False)
 class AugmentResult:
-    """The non-edges (u[i], v[i]) of base added in (label, position)
-    order, with labels[i] the label of pair i; added and graph are
-    built on first read."""
+    """The size non-edges of base a draw adds: the first size, in
+    (label, position) order, of the pairs at the pool positions kept.
+    Pair i is (u[i], v[i]) with label labels[i]; every field but base,
+    seed and size is built on first read."""
 
-    base: Graph
-    u: np.ndarray
-    v: np.ndarray
-    labels: np.ndarray
-    seed: SeedSpec
+    def __init__(self, base: Graph, seed: SeedSpec, kept: np.ndarray,
+                 labels: np.ndarray, size: int):
+        self.base, self.seed, self.size = base, seed, size
+        # kept[:_sorted] is in (label, position) order and is never
+        # reordered again; every label in it is at most every label after
+        self._kept, self._labels, self._sorted = kept, labels, 0
+
+    def prefix(self, k: int) -> np.ndarray:
+        """The pool positions of the first k <= size pairs, in (label,
+        position) order.  Past the sorted frontier, the rest is
+        partitioned at k and only its new head is sorted.  The tie group
+        at the cut is handed out by position, so the result is the one a
+        stable sort of all the labels gives."""
+        j = k - self._sorted
+        if j > 0:
+            # views of the unsorted rest, reordered in place
+            kept, labels = self._kept[self._sorted:], self._labels[self._sorted:]
+            if j < len(kept):
+                rest = np.argpartition(labels, j - 1)
+                kept[:], labels[:] = kept[rest], labels[rest]
+                cut = labels[j - 1]
+                if labels[j:].min() == cut:  # a tie group straddles the cut
+                    tied = np.flatnonzero(labels == cut)
+                    kept[tied] = np.sort(kept[tied])
+            head = np.lexsort((kept[:j], labels[:j]))
+            kept[:j], labels[:j] = kept[head], labels[head]
+            self._sorted = k
+        return self._kept[:k]
+
+    def count_below(self, p: float) -> int:
+        """How many of the pairs kept have a label below p: the k of the
+        Bernoulli model at p <= the p drawn at."""
+        return int(np.count_nonzero(self._labels < p))
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _pool(self.base)[0][self.prefix(self.size)]
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return _pool(self.base)[1][self.prefix(self.size)]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        self.prefix(self.size)
+        return self._labels[:self.size]
 
     @cached_property
     def added(self) -> tuple[Edge, ...]:
@@ -46,33 +90,23 @@ class AugmentResult:
         return self.base._with_pool_pairs(self.u, self.v)
 
 
-def _labelled(h: Graph, seed: SeedSpec, picked, limit=None) -> AugmentResult:
-    """The first limit non-edges of h, in (label, position) order, among
-    those at the positions picked(labels) returns in increasing order."""
-    u, v = _pool(h)
-    labels = seed.generator().random(len(u))
-    keep = picked(labels)
-    keep = keep[np.argsort(labels[keep], kind="stable")][:limit]
-    return AugmentResult(h, u[keep], v[keep], labels[keep], seed)
-
-
 def augment_uniform(h: Graph, m: int, seed: SeedSpec) -> AugmentResult:
     """Add the m non-edges of h with the smallest labels, a uniformly
-    random m-subset; only labels up to the m-th smallest are sorted."""
+    random m-subset; only labels up to the m-th smallest are kept."""
     size = h.n * (h.n - 1) // 2 - h.edge_count
     if not 0 <= m <= size:
         raise ValueError(
             f"m={m} must lie in 0..{size}, the count of non-edges (maximum m={size})")
-
-    def smallest(labels):
-        cut = np.partition(labels, m - 1)[m - 1] if m else -1.0
-        return np.flatnonzero(labels <= cut)  # a tie at cut may add a few
-
-    return _labelled(h, seed, smallest, m)
+    labels = seed.generator().random(size)
+    cut = np.partition(labels, m - 1)[m - 1] if m else -1.0
+    kept = np.flatnonzero(labels <= cut)  # a tie at cut may keep a few more
+    return AugmentResult(h, seed, kept, labels[kept], m)
 
 
 def augment_bernoulli(h: Graph, p: float, seed: SeedSpec) -> AugmentResult:
     """Add the non-edges of h with labels below p, each with probability p."""
     if not (0 <= p <= 1):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    return _labelled(h, seed, lambda labels: np.flatnonzero(labels < p))
+    labels = seed.generator().random(h.n * (h.n - 1) // 2 - h.edge_count)
+    kept = np.flatnonzero(labels < p)
+    return AugmentResult(h, seed, kept, labels[kept], len(kept))

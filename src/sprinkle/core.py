@@ -16,6 +16,7 @@ built from those arrays on each call.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import index
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -28,6 +29,12 @@ Edge = tuple[int, int]
 
 # set-bit positions of each byte value, increasing
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+@cache
+def _single_bits(n: int) -> tuple[int, ...]:
+    """1 << v for each v in range(n), built once per n."""
+    return tuple(1 << v for v in range(n))
 
 
 def _bits(mask: int) -> list[int]:
@@ -130,9 +137,10 @@ class Graph:
         such as pairs of _pool(self), so none needs validating and the
         edge count adds up."""
         masks = list(self._masks)
+        bit = _single_bits(self.n)
         for u, v in zip(us.tolist(), vs.tolist()):
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            masks[u] |= bit[v]
+            masks[v] |= bit[u]
         return Graph._from_masks(masks, self._edge_count + len(us))
 
     def __eq__(self, other) -> bool:
@@ -157,20 +165,25 @@ def as_fraction(x) -> Fraction:
     """Coerce a number or numeric string to an exact Fraction.
 
     Floats go through their shortest decimal repr, so as_fraction(0.3)
-    is exactly 3/10 rather than the binary float closest to 0.3.
+    is exactly 3/10 rather than the binary float closest to 0.3.  Any
+    other value, such as None, a list or "1/0", is a ValueError.
     """
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    try:
+        return Fraction(str(x) if isinstance(x, float) else x)
+    except (TypeError, ZeroDivisionError):
+        raise ValueError(f"expected a number or a numeric string, got {x!r}") from None
 
 
 def density_param(d) -> Fraction:
     """Coerce a density value (see as_fraction) to an exact Fraction in
-    (0, 1)."""
-    d = as_fraction(d)
-    if not (0 < d < 1):
-        raise ValueError(f"density must lie strictly between 0 and 1, got {d}")
-    return d
+    (0, 1), or raise a ValueError naming the value."""
+    try:
+        value = as_fraction(d)
+    except ValueError:
+        value = None
+    if value is None or not 0 < value < 1:
+        raise ValueError(f"density must lie strictly between 0 and 1, got {d!r}")
+    return value
 
 
 def is_dense(g: Graph, d) -> bool:

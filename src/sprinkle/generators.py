@@ -50,8 +50,9 @@ def complete_multipartite(part_sizes: list[int]) -> Graph:
     in different blocks."""
     if not part_sizes:
         raise ValueError("part list must be nonempty")
-    if any(s < 1 for s in part_sizes):
-        raise ValueError(f"part sizes must be positive, got {part_sizes}")
+    # bool subclasses int, so True would pass as 1
+    if any(isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in part_sizes):
+        raise ValueError(f"part sizes must be positive integers, got {part_sizes}")
     return _blocks(part_sizes, across=True)
 
 

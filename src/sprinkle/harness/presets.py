@@ -108,6 +108,8 @@ def _thm4(n: int, p: dict) -> tuple:
 
 def _thm5(n: int, p: dict) -> tuple:
     """Diameter 2 on two_cliques(n), whose density is (n//2 - 1)/n."""
+    if n < 4:  # the density is 0 below
+        raise ValueError("thm5 needs n >= 4")
     d = Fraction(n // 2 - 1, n)
     return (0.5 * n * math.log(n), float((1 - d) / d) * n * math.log(n),
             (n // 2) * (n - n // 2),

@@ -10,7 +10,10 @@ once per sweep and shared by every trial, together with its memoised
 non-edge pool; any other family is rebuilt from each trial's seed.
 The bisection's probes grow incrementally: each starts from the masks of
 the last probe that had not flipped and ORs in, unchecked, only the
-pairs of the draw added since, which come from the base's own pool.
+pairs of the draw added since, gathered from the base's own pool at the
+positions the draw's prefix(k) lists.  The draw orders only the prefix
+the probes read, so a trial never sorts the labels past its largest
+probe.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from operator import index
@@ -32,7 +35,7 @@ from ..checkers import (
     is_connected,
     is_k_connected,
 )
-from ..core import Graph, density_param
+from ..core import Graph, _pool, density_param
 from ..generators import (
     blocked_gnp,
     complete_graph,
@@ -68,7 +71,10 @@ def _int(params: dict, key: str, field: str = "generator") -> int:
 
 
 def _gen_complete_multipartite(params, seed):
-    return complete_multipartite(list(params["parts"]))
+    parts = params["parts"]
+    if not isinstance(parts, (list, tuple)):
+        raise ValueError(f"generator param parts must be a list of sizes, got {parts!r}")
+    return complete_multipartite(list(parts))
 
 
 def _gen_two_cliques(params, seed):
@@ -332,12 +338,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Trial t draws its base graph (unless the family is seed-free) and its
     edge randomness from master_seed.derive(t), the same for every grid
     point.  Its one augment call, at the largest feasible grid value,
-    lists the added pairs in label order, and the graph at m (or p) adds
-    the first m of them (or those with labels below p).  The property is
-    monotone, so a bisection over the feasible grid points finds the
-    first point at which it has flipped to its far side, and that index
-    decides every point.  A uniform m above the base's non-edge count is
-    an infeasible failure; those points form a suffix of the grid.
+    picks the pairs, and the graph at m (or p) adds the first k of them
+    in label order, with k = m (or the count of labels below p).  The
+    property is monotone, so a bisection over the feasible grid points
+    finds the first point at which it has flipped to its far side, and
+    that index decides every point.  A uniform m above the base's
+    non-edge count is an infeasible failure; those points form a suffix
+    of the grid.
 
     trial_timeout_s times one trial: its base draw (a seed-free base is
     built once, before the first trial) and its bisection.  A trial over
@@ -367,11 +374,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         lo, hit = 0, feasible
         if feasible:
             aug = augment(base, grid[feasible - 1], seed.stream(1))
+            pool_u, pool_v = _pool(base)
         below, done = base, 0  # the last probe that had not flipped, and its k
         while lo < hit:
             mid = (lo + hit) // 2
-            k = grid[mid] if uniform else bisect_left(aug.labels, grid[mid])
-            probe = below._with_pool_pairs(aug.u[done:k], aug.v[done:k])
+            k = grid[mid] if uniform else aug.count_below(grid[mid])
+            new = aug.prefix(k)[done:]
+            probe = below._with_pool_pairs(pool_u[new], pool_v[new])
             if bool(prop(probe, prop_params)) == far:
                 hit = mid
             else:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import full_grid_sweep
+
 from sprinkle import (
     Graph,
     SeedSpec,
@@ -19,6 +21,8 @@ from sprinkle import (
     non_edges,
     path_graph,
 )
+from sprinkle.harness import SweepConfig, run_sweep
+from sprinkle.harness import sweep as sweep_mod
 
 
 def test_uniform_zero_on_complete():
@@ -115,10 +119,18 @@ def test_both_models_read_one_label_draw(n, seed, p, data):
 
 class RepeatedLabels:
     """Seed stand-in whose draw repeats labels: a tie has probability
-    about N^2 / 2^53 under a real seed, so tie-breaking needs one."""
+    about N^2 / 2^53 under a real seed, so tie-breaking needs one.  As a
+    sweep's master seed, every trial and stream derived from it reads
+    the same draw."""
 
     def __init__(self, labels):
         self.labels = np.array(labels)
+
+    def derive(self, *path):
+        return self
+
+    def stream(self, stream_id):
+        return self
 
     def generator(self):
         return self
@@ -138,6 +150,72 @@ def test_tied_labels_are_ordered_by_position():
         assert list(augment_uniform(g, m, seed).added) == [pool[i] for i in order[:m]]
     below = [pool[i] for i in order if labels[i] < 0.3]
     assert list(augment_bernoulli(g, 0.3, seed).added) == below
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_prefix_is_the_stable_order_after_any_earlier_cuts(n, data):
+    # labels from four values, so most cuts fall inside a tie group, and
+    # prefix(k) read after any sequence of earlier prefix calls
+    g = Graph(n, [])
+    size = n * (n - 1) // 2
+    labels = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                                min_size=size, max_size=size))
+    order = sorted(range(size), key=lambda i: (labels[i], i))
+    m = data.draw(st.integers(0, size))
+    aug = augment_uniform(g, m, RepeatedLabels(labels))
+    for k in data.draw(st.lists(st.integers(0, m), max_size=6)):
+        assert aug.prefix(k).tolist() == order[:k]
+    assert aug.prefix(m).tolist() == order[:m]
+
+
+@pytest.mark.parametrize("model, grid", [
+    ("uniform", (0, 4, 7, 11, 13, 16, 22, 31, 40, 45)),
+    ("bernoulli", (0.0, 0.1, 0.25, 0.3, 0.5, 0.6)),
+])
+@pytest.mark.parametrize("prop", [
+    ("connected", {}), ("diameter_le", {"t": 2}), ("contains_kr", {"r": 4}),
+])
+def test_sweep_probes_order_tied_labels_by_position(model, grid, prop):
+    # a probe's cut inside a tie group must take the tied pairs of the
+    # lowest positions, as a stable sort of the whole draw does, however
+    # far the bisection has ordered the draw before it
+    g = Graph(10, [])
+    pool = non_edges(g)
+    labels = [(7 * i % 5) / 8 for i in range(len(pool))]  # 9 pairs per label
+    ranked = [pool[i] for i in sorted(range(len(pool)), key=lambda i: (labels[i], i))]
+    cfg = SweepConfig(
+        generator={"name": "empty", "params": {"n": 10}}, model=model, grid=grid,
+        trials=3, property={"name": prop[0], "params": prop[1]},
+        master_seed=RepeatedLabels(labels))
+    draws, probes = [], []
+
+    def recording_augment(fn):
+        def recorded(h, value, seed):
+            draws.append(fn(h, value, seed))
+            return draws[-1]
+        return recorded
+
+    check, direction = sweep_mod.PROPERTIES[prop[0]]
+
+    def recording_check(h, params):
+        probes.append(h)
+        return check(h, params)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for augment in ("augment_uniform", "augment_bernoulli"):
+            mp.setattr(sweep_mod, augment, recording_augment(getattr(sweep_mod, augment)))
+        mp.setitem(sweep_mod.PROPERTIES, prop[0], (recording_check, direction))
+        res = run_sweep(cfg)
+    ks = [h.edge_count for h in probes]
+    for aug in draws:  # read only now, after the probes have ordered the draw
+        assert list(aug.added) == ranked[:len(aug.added)]
+    for h, k in zip(probes, ks):
+        assert h == g.with_edges(ranked[:k])
+    if model == "uniform":
+        cut = sorted(labels)
+        assert any(cut[k - 1] == cut[k] for k in ks if 0 < k < len(pool))
+    assert [(pt.successes, pt.infeasible) for pt in res.points] == full_grid_sweep(cfg)
 
 
 def test_uniform_choice_is_uniform_chi_squared():

@@ -258,6 +258,19 @@ def test_preset_bound_check_rejects_non_integer_samples(capsys):
     assert code == 2 and out == "" and err.startswith("error:") and "samples" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["preset", "--name", "thm5", "--n", "3"], "n >= 4"),  # two_cliques(3) has density 0
+    (["preset", "--name", "thm6", "--n", "36", "d=[1]", "k=3"], "[1]"),
+    (["preset", "--name", "thm6", "--n", "36", "d=1/0", "k=3"], "'1/0'"),
+    (["generate", "family=blocked_gnp", "n=20", "d=null"], "None"),
+    (["generate", "family=complete_multipartite", "parts=[2.5,true]"], "[2.5, True]"),
+    (["generate", "family=complete_multipartite", "parts=5"], "got 5"),
+])
+def test_bad_density_or_size_exits_2_naming_it(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and named in err
+
+
 def test_exit_code_nonzero_on_bad_input(tmp_path, capsys):
     missing = tmp_path / "none.txt"
     code, _, err = run_cli(capsys, "check", "--property", "diam", str(missing))

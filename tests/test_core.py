@@ -93,9 +93,13 @@ def test_is_dense_exact_rational_boundary():
 
 
 def test_density_param_range():
-    for bad in (0, 1, -0.2, Fraction(7, 5)):
-        with pytest.raises(ValueError):
+    # a non-number too is a ValueError naming it: a TypeError or a
+    # ZeroDivisionError would escape the CLI's error path
+    for bad in (0, 1, -0.2, Fraction(7, 5), None, [1], {"d": 1}, "1/0", "half",
+                float("nan")):
+        with pytest.raises(ValueError, match="density") as info:
             density_param(bad)
+        assert repr(bad) in str(info.value)
 
 
 def test_induced_subgraph_examples():

@@ -45,6 +45,9 @@ def test_complete_multipartite_examples():
     assert g.n == 9 and g.edge_count == 27 and clique_number(g) == 3
     with pytest.raises(ValueError):
         complete_multipartite([])
+    for bad in ([2.5, 2], [2, True], [3, "2"], [0, 2]):
+        with pytest.raises(ValueError, match="positive integers"):
+            complete_multipartite(bad)
 
 
 def test_balanced_multipartite_clique_number():
